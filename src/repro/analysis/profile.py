@@ -86,6 +86,7 @@ class ProfileReport:
         details: dict[str, ProfileRow],
         skipped_cycles: int,
         skip_events: int,
+        engine: str,
     ) -> None:
         self.result = result
         self.total_seconds = total_seconds
@@ -93,6 +94,8 @@ class ProfileReport:
         self.details = details
         self.skipped_cycles = skipped_cycles
         self.skip_events = skip_events
+        #: ``"kernel"`` or ``"interpreter"`` (see ``Simulator.engine``).
+        self.engine = engine
 
     @property
     def accounted_seconds(self) -> float:
@@ -118,6 +121,7 @@ class ProfileReport:
     def as_dict(self) -> dict:
         return {
             "name": self.result.name,
+            "engine": self.engine,
             "total_seconds": self.total_seconds,
             "instructions": self.result.instructions,
             "cycles": self.result.cycles,
@@ -226,4 +230,5 @@ def profile_run(
         details=details,
         skipped_cycles=sim.skipped_cycles,
         skip_events=sim.skip_events,
+        engine=sim.engine,
     )

@@ -8,7 +8,10 @@ Commands
 ``simulate WORKLOAD``
     Run one simulation and print a result report.  Flags select the
     configuration: ``--ucp`` (and its variants), ``--no-uop-cache``,
-    ``--ideal-uop-cache``, ``--prefetcher``, ``--mrc``.
+    ``--ideal-uop-cache``, ``--prefetcher``, ``--mrc``.  With ``--check``
+    or ``--trace`` it also names the engine (``engine: kernel`` or
+    ``engine: interpreter``, selected by ``REPRO_SIM_KERNEL``), as
+    ``profile``, ``trace`` and ``metrics`` always do.
 ``profile WORKLOAD``
     Simulate once with component-level wall-time profiling
     (:mod:`repro.analysis.profile`): per-component seconds summing to
@@ -472,22 +475,19 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _simulate(args: argparse.Namespace) -> int:
-    from repro.core.kernel import KernelSimulator, kernel_enabled
     from repro.core.pipeline import Simulator
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
-    # The kernel degrades to the interpreter on its own when --check or
-    # --trace activates the sanitizer/observer; REPRO_SIM_KERNEL=0 forces
-    # the interpreter outright.
-    sim_cls = KernelSimulator if kernel_enabled() else Simulator
-    sim = sim_cls(
+    sim = Simulator(
         trace,
         config,
         check=True if args.check else None,
         observe=True if args.trace else None,
     )
     result = sim.run()
+    if args.check or args.trace:
+        print(f"engine: {sim.engine}")
     print(f"workload            {args.workload} ({args.instructions} instructions)")
     print(f"IPC                 {result.ipc:.4f}")
     print(f"cycles              {result.cycles}")
@@ -521,6 +521,7 @@ def _trace(args: argparse.Namespace) -> int:
     )
     result = sim.run()
     observer = sim.observer
+    print(f"engine: {sim.engine}")
 
     suffix = ".trace.json" if args.format == "perfetto" else ".jsonl"
     path = resolve_output_path(args.output or f"{args.workload}{suffix}")
@@ -538,25 +539,15 @@ def _trace(args: argparse.Namespace) -> int:
 def _metrics(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.common.output import resolve_output_path
-    from repro.core.kernel import KernelSimulator, kernel_enabled
     from repro.core.pipeline import Simulator
     from repro.observe.metrics import DEFAULT_INTERVAL
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
     interval = args.interval if args.interval is not None else None
-    # Kernel-aware on purpose: interval metrics arm the observer, which
-    # forces the interpreter — surface that fallback instead of hiding it.
-    sim_cls = KernelSimulator if kernel_enabled() else Simulator
-    sim = sim_cls(trace, config, observe=True, interval=interval)
+    sim = Simulator(trace, config, observe=True, interval=interval)
     result = sim.run()
-    if isinstance(sim, KernelSimulator) and not sim.kernel_active:
-        kernel_state = f"interpreter ({sim.kernel_fallback_reason})"
-    elif isinstance(sim, KernelSimulator):
-        kernel_state = "replay kernel"
-    else:
-        kernel_state = "interpreter (REPRO_SIM_KERNEL=0)"
-    print(f"engine: {kernel_state}")
+    print(f"engine: {sim.engine}")
     print()
 
     samples = result.intervals
@@ -590,7 +581,7 @@ def _metrics(args: argparse.Namespace) -> int:
         payload = {
             "workload": args.workload,
             "instructions": args.instructions,
-            "engine": kernel_state,
+            "engine": sim.engine,
             "intervals": samples,
             "taxonomy": sim.observer.taxonomy.as_dict(),
             "characterization": trace_profile(trace),
@@ -610,6 +601,7 @@ def _profile(args: argparse.Namespace) -> int:
     report = profile_run(  # lint-ok: SIM002 invoking the profiler is this command's purpose
         trace, config, idle_skip=False if args.no_skip else None
     )
+    print(f"engine: {report.engine}")
     print(report.render())
     if args.json:
         from repro.common.output import resolve_output_path

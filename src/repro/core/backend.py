@@ -7,12 +7,14 @@ frontend supply gaps show up as commit stalls.  Three mechanisms provide
 that:
 
 * per-instruction execution latency by class (simple / load-like / branch),
-  with load-likeness decided by a PC hash;
+  with load-likeness decided by a PC hash (the ``latency`` column of
+  :mod:`repro.core.kernel.columns`);
 * a synthetic dependency: each instruction depends on an instruction a
-  hashed distance (1..dep_window) earlier in program order and cannot
-  complete before it — this bounds sustainable ILP the way real dependency
-  chains do, so a wider µ-op supply only helps when the pipeline is
-  refilling (exactly the paper's observation in Section III-C);
+  hashed distance (1..dep_window, the ``distance`` column) earlier in
+  program order and cannot complete before it — this bounds sustainable
+  ILP the way real dependency chains do, so a wider µ-op supply only
+  helps when the pipeline is refilling (exactly the paper's observation
+  in Section III-C);
 * in-order commit with a bounded ROB.
 
 Branches resolve at their completion time, which the simulator uses to
@@ -22,38 +24,37 @@ schedule misprediction redirects.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.common.stats import StatBlock
 from repro.core.configs import BackendConfig
 from repro.isa.trace import Trace
 
-
-def _pc_hash(pc: int) -> int:
-    value = pc >> 2
-    value ^= value >> 7
-    value ^= value >> 13
-    return value & 0xFFFF
+if TYPE_CHECKING:
+    from repro.core.kernel.columns import KernelColumns
 
 
 class Backend:
     """Dispatch → (dependency-limited) execute → in-order commit."""
 
-    def __init__(self, config: BackendConfig, trace: Trace, stats: StatBlock) -> None:
+    def __init__(
+        self,
+        config: BackendConfig,
+        trace: Trace,
+        stats: StatBlock,
+        columns: KernelColumns,
+    ) -> None:
         self.config = config
         self.trace = trace
         self.stats = stats
         # Hot-path flattening: dispatch() runs once per µ-op, so the trace
-        # columns are read as plain lists and the config scalars are bound
-        # to the instance instead of being chased through two attribute
-        # hops per dispatch.
-        self._pcs, self._classes, _takens, _targets, _next_pcs = trace.list_columns()
+        # and latency columns are read as plain lists and the config
+        # scalars are bound to the instance instead of being chased
+        # through two attribute hops per dispatch.
+        self._classes = trace.list_columns()[1]
+        self._latency = columns.latency
+        self._distance = columns.distance
         self._branch_latency = config.branch_latency
-        self._load_hash_mod = config.load_hash_mod
-        self._long_load_every = config.long_load_every
-        self._long_load_latency = config.long_load_latency
-        self._load_latency = config.load_latency
-        self._simple_latency = config.simple_latency
-        self._dep_window = config.dep_window
         self._issue_width = config.issue_width
         self._commit_width = config.commit_width
         #: Completion cycle per dispatched trace index.  Kept for the whole
@@ -101,25 +102,11 @@ class Backend:
             self._rob.append((index, completion))
             return completion
 
-        # _pc_hash, inlined.
-        value = self._pcs[index] >> 2
-        value ^= value >> 7
-        value ^= value >> 13
-        h = value & 0xFFFF
-
-        if h % self._load_hash_mod == 0:
-            if (h >> 8) % self._long_load_every == 0:
-                latency = self._long_load_latency  # data-cache miss
-            else:
-                latency = self._load_latency
-        else:
-            latency = self._simple_latency
-        distance = 1 + (h >> 4) % self._dep_window
-        dep_done = self._completion.get(index - distance, 0)
+        dep_done = self._completion.get(index - self._distance[index], 0)
         earliest = cycle + 1
         if dep_done > earliest:
             earliest = dep_done
-        completion = self._schedule(earliest + latency)
+        completion = self._schedule(earliest + self._latency[index])
         self._completion[index] = completion
         self._rob.append((index, completion))
         return completion

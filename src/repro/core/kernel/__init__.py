@@ -4,60 +4,44 @@
 per-cycle hot path over :class:`~repro.isa.trace.Trace`'s numpy columns:
 
 * :mod:`~repro.core.kernel.columns` — per-trace precomputed columns
-  (backend latency/dependency hashes, branch spans, µ-op line ids);
+  (backend latency/dependency hashes, branch spans);
 * :mod:`~repro.core.kernel.stream` — the recorded TAGE-SC-L/ITTAGE
   prediction stream (one pre-pass per trace × predictor config);
 * :mod:`~repro.core.kernel.engine` — :class:`KernelSimulator`, the
-  drop-in :class:`~repro.core.pipeline.Simulator` subclass that replays
-  the stream and jumps branch spans, bit-identical by construction.
+  :class:`~repro.core.pipeline.Simulator` with the kernel forced on: its
+  BPU replays the stream and jumps branch spans, bit-identical by
+  construction.
 
-``REPRO_SIM_KERNEL`` selects the path (default on; ``"0"`` disables —
-same convention as ``REPRO_SIM_SKIP``).  The flag deliberately does not
-live in :class:`~repro.core.configs.SimConfig`: kernel and interpreter
-produce identical results, so the result-cache key must not depend on
-it.  Bit-identity is enforced by :mod:`repro.verify.kernel_diff`.
+``Simulator(kernel=...)`` selects the path; None defers to
+``REPRO_SIM_KERNEL`` (default on; ``"0"`` disables — same convention as
+``REPRO_SIM_SKIP``).  The flag deliberately does not live in
+:class:`~repro.core.configs.SimConfig`: kernel and interpreter produce
+identical results, so the result-cache key must not depend on it.
+Bit-identity is enforced by :mod:`repro.verify.kernel_diff`.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.core.kernel.columns import KernelColumns, build_columns, columns_key, get_columns
 from repro.core.kernel.engine import (
-    KernelBackend,
     KernelSimulator,
-    ReplayBPU,
+    count_kernel_run,
     kernel_applicability,
-    kernel_applicable,
+    kernel_enabled,
 )
 from repro.core.kernel.stream import PredictionStream, get_stream, record_stream, stream_key
 
 __all__ = [
-    "KernelBackend",
     "KernelColumns",
     "KernelSimulator",
     "PredictionStream",
-    "ReplayBPU",
     "build_columns",
     "columns_key",
+    "count_kernel_run",
     "get_columns",
     "get_stream",
     "kernel_applicability",
-    "kernel_applicable",
     "kernel_enabled",
     "record_stream",
     "stream_key",
 ]
-
-
-def kernel_enabled(override: bool | None = None) -> bool:
-    """Resolve the kernel on/off decision for one simulation.
-
-    ``override`` forces the choice; None defers to ``REPRO_SIM_KERNEL``
-    (default on, ``"0"`` disables).  Read at call time, never at import
-    time, so tests and the differential oracle can flip the variable
-    per run.
-    """
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_SIM_KERNEL", "1") != "0"

@@ -1,18 +1,15 @@
-"""Per-trace precomputed kernel columns.
+"""Per-trace precomputed columns.
 
-The batched kernel trades per-instruction recomputation for one numpy
-pass per (trace, config-scalars) pair:
+One numpy pass per (trace, config-scalars) pair replaces per-instruction
+recomputation:
 
-* the backend's PC-hash latency and dependency-distance columns (the
-  exact integer formulas of :meth:`repro.core.backend.Backend.dispatch`,
-  vectorized);
+* the backend's PC-hash latency and dependency-distance columns, which
+  :meth:`repro.core.backend.Backend.dispatch` reads on both engines;
 * the branch-span column ``next_branch`` (for every index, the first
   index at or after it whose branch class is not ``NOT_BRANCH``, with
-  ``len(trace)`` as the no-more-branches sentinel) — this is what lets
-  the replay BPU jump over non-branch runs in one step instead of
-  walking them instruction by instruction;
-* the µ-op line column ``lines`` (``pc // l1i_line_size``), consumed by
-  the replay BPU's fetch-directed-prefetch pass.
+  ``len(trace)`` as the no-more-branches sentinel) — the replay source's
+  span column, which lets the BPU jump over non-branch runs in one step
+  instead of walking them instruction by instruction.
 
 Columns are materialised as plain Python lists (per-element numpy
 indexing is slower than list indexing at simulator scale, see
@@ -24,38 +21,38 @@ experiment matrix, differential tests — pay the precompute once.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
 from repro.core.configs import SimConfig
 from repro.isa.trace import Trace
 
+K = TypeVar("K")
+V = TypeVar("V")
+
 #: Cache key: every config scalar the column formulas consume.
-ColumnsKey = tuple[int, int, int, int, int, int, int]
+ColumnsKey = tuple[int, int, int, int, int, int]
 
 
 class KernelColumns:
     """Precomputed per-instruction columns for one (trace, config) pair."""
 
-    __slots__ = ("n", "latency", "distance", "next_branch", "lines")
+    __slots__ = ("latency", "distance", "next_branch")
 
     def __init__(
         self,
-        n: int,
         latency: list[int],
         distance: list[int],
         next_branch: list[int],
-        lines: list[int],
     ) -> None:
-        self.n = n
         #: Execution latency per non-branch instruction (PC-hash formula).
         self.latency = latency
         #: Synthetic dependency distance per non-branch instruction.
         self.distance = distance
-        #: First branch index at or after each index (``n`` = none left).
+        #: First branch index at or after each index (``len(trace)`` = none left).
         self.next_branch = next_branch
-        #: L1I line id per instruction (``pc // line_size``).
-        self.lines = lines
 
 
 def columns_key(config: SimConfig) -> ColumnsKey:
@@ -68,7 +65,6 @@ def columns_key(config: SimConfig) -> ColumnsKey:
         backend.load_latency,
         backend.simple_latency,
         backend.dep_window,
-        config.hierarchy.l1i.line_size,
     )
 
 
@@ -79,7 +75,7 @@ def build_columns(trace: Trace, config: SimConfig) -> KernelColumns:
     pcs = trace.pcs
     classes = trace.branch_classes
 
-    # Backend PC hash, vectorized — must match Backend.dispatch bit for bit.
+    # Backend PC hash: load-likeness and the dependency distance.
     h = pcs >> 2
     h = h ^ (h >> 7)
     h = h ^ (h >> 13)
@@ -98,15 +94,36 @@ def build_columns(trace: Trace, config: SimConfig) -> KernelColumns:
     marks = np.where(classes != 0, index, np.int64(n))
     next_branch = np.minimum.accumulate(marks[::-1])[::-1]
 
-    lines = pcs // config.hierarchy.l1i.line_size
-
     return KernelColumns(
-        n=n,
         latency=latency.tolist(),
         distance=distance.tolist(),
         next_branch=next_branch.tolist(),
-        lines=lines.tolist(),
     )
+
+
+def per_trace_lookup(
+    cache: weakref.WeakKeyDictionary[Trace, dict[K, V]],
+    trace: Trace,
+    key: K,
+    build: Callable[[], V],
+    metric: str,
+    description: str,
+    fresh: str,
+) -> V:
+    """``cache[trace][key]``, built on first use; the lookup is counted as
+    ``fresh`` or ``"reused"`` on the ``metric`` telemetry counter."""
+    per_trace = cache.setdefault(trace, {})
+    value = per_trace.get(key)
+    outcome = "reused"
+    if value is None:
+        value = per_trace[key] = build()
+        outcome = fresh
+    from repro.observe import telemetry
+
+    tel = telemetry.maybe()
+    if tel is not None:
+        tel.counter(metric, description, labels=("outcome",)).inc(outcome=outcome)
+    return value
 
 
 _CACHE: weakref.WeakKeyDictionary[Trace, dict[ColumnsKey, KernelColumns]] = (
@@ -116,23 +133,12 @@ _CACHE: weakref.WeakKeyDictionary[Trace, dict[ColumnsKey, KernelColumns]] = (
 
 def get_columns(trace: Trace, config: SimConfig) -> KernelColumns:
     """Cached :func:`build_columns` (weakly keyed by the trace object)."""
-    per_trace = _CACHE.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _CACHE[trace] = per_trace
-    key = columns_key(config)
-    columns = per_trace.get(key)
-    built = columns is None
-    if columns is None:
-        columns = per_trace[key] = build_columns(trace, config)
-    from repro.observe import telemetry
-
-    tel = telemetry.maybe()
-    if tel is not None:
-        tel.counter(
-            "repro_kernel_columns_total",
-            "Kernel column lookups: built fresh vs reused from the "
-            "per-trace cache.",
-            labels=("outcome",),
-        ).inc(outcome="built" if built else "reused")
-    return columns
+    return per_trace_lookup(
+        _CACHE,
+        trace,
+        columns_key(config),
+        lambda: build_columns(trace, config),
+        "repro_kernel_columns_total",
+        "Kernel column lookups: built fresh vs reused from the per-trace cache.",
+        fresh="built",
+    )

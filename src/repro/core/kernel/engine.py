@@ -1,441 +1,75 @@
-"""The batched tick kernel: replay BPU + columnar backend.
+"""The batched tick kernel: a :class:`Simulator` that replays predictions.
 
-:class:`KernelSimulator` is a drop-in :class:`~repro.core.pipeline.
-Simulator` whose hot components are swapped for batched equivalents:
-
-* :class:`ReplayBPU` consumes the recorded prediction stream of
-  :mod:`repro.core.kernel.stream` instead of running TAGE-SC-L/ITTAGE
-  live, and jumps over non-branch runs using the precomputed
-  ``next_branch`` span column instead of walking them one instruction at
-  a time.  The BTB and RAS stay live (they are cheap, and UCP reads
-  ``sim.bpu.btb`` / copies ``sim.bpu.ras`` mid-run), so every stat,
-  hook, stall and resume cycle is produced exactly as the interpreter
-  produces it.
-* :class:`KernelBackend` replaces the per-dispatch PC-hash recomputation
-  with the vectorized latency/dependency-distance columns of
-  :mod:`repro.core.kernel.columns`.
-
-The per-cycle loop itself is inherited unchanged from ``Simulator.run``
-— commit, branch resolution, dispatch, fetch, prefetch issue, UCP and
-every event boundary (mispredict resolution, mode switches, interval
-samples, warm-up snapshot, idle-skip wake points) execute the identical
-cycle stream, which is what makes the kernel provably bit-identical
-(see ``repro.verify.kernel_diff``).
-
-**Fallback contract:** when the invariant checker or the observe event
-bus is active the kernel disables itself and behaves exactly like the
-interpreter (the sanitizer's shadow models and the taxonomy hook the
-live predictor structures).  :func:`kernel_applicable` mirrors the
-``make_checker`` / ``make_observer`` gating so the decision is made
-before any component is built.
+Kernel and interpreter are the same ``Simulator``, ``BPU``, ``Backend``
+and per-cycle loop; only the BPU's prediction source differs (a
+:class:`~repro.frontend.bpu.ReplaySource` over the stream recorded by
+:mod:`repro.core.kernel.stream` here, a
+:class:`~repro.frontend.bpu.LiveSource` on the interpreter).  The
+sanitizer and the observer read only live state (RAS, BTB, L1I, FTQ, the
+BPU cursor), so checked and traced runs stay on the kernel.  Bit-identity
+is enforced by :mod:`repro.verify.kernel_diff`.
 """
 
 from __future__ import annotations
 
-import logging
+import os
 from typing import Any
 
-from repro.common.stats import StatBlock
-from repro.core.backend import Backend
-from repro.core.configs import BackendConfig, SimConfig
-from repro.core.kernel.columns import KernelColumns, get_columns
-from repro.core.kernel.stream import PredictionStream, get_stream
-from repro.core.pipeline import SimResult, Simulator
-from repro.frontend.bpu import BPU, BranchEvent
-from repro.frontend.ftq import FetchBlock
-from repro.isa.instruction import BranchClass
+from repro.core.configs import SimConfig
+from repro.core.pipeline import Simulator
 from repro.isa.trace import Trace
 
-_NOT_BRANCH = int(BranchClass.NOT_BRANCH)
-_COND_DIRECT = int(BranchClass.COND_DIRECT)
-_UNCOND_DIRECT = int(BranchClass.UNCOND_DIRECT)
-_CALL_DIRECT = int(BranchClass.CALL_DIRECT)
-_CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
-_INDIRECT = int(BranchClass.INDIRECT)
-_RETURN = int(BranchClass.RETURN)
 
+def kernel_enabled(override: bool | None = None) -> bool:
+    """Resolve the kernel on/off decision for one simulation.
 
-def kernel_applicability(
-    check: bool | None, observe: bool | None
-) -> tuple[bool, str | None]:
-    """Kernel go/no-go plus the no-go reason for these checker/observer args.
-
-    Mirrors ``repro.verify.make_checker`` and ``repro.observe.
-    make_observer``: a checker exists iff ``check is True`` or (``check
-    is None`` and ``REPRO_SIM_CHECK`` is set); same for the observer and
-    ``REPRO_SIM_TRACE``.  Either one active forces the interpreter.
-
-    Returns ``(True, None)`` when the replay kernel may run, else
-    ``(False, reason)`` with reason in ``{"checker-armed",
-    "observer-armed"}`` — the label recorded on the
-    ``repro_kernel_fallback_total`` counter and in the one-time warning.
+    ``override`` forces the choice; None defers to ``REPRO_SIM_KERNEL``
+    (default on, ``"0"`` disables).  Read at call time, never at import
+    time, so tests and the differential oracle can flip the variable
+    per run.
     """
-    if check is True:
-        return False, "checker-armed"
-    if observe is True:
-        return False, "observer-armed"
-    from repro.observe import trace_level
-    from repro.verify import check_level
-
-    if check is None and check_level() > 0:
-        return False, "checker-armed"
-    if observe is None and trace_level() > 0:
-        return False, "observer-armed"
-    return True, None
+    if override is not None:
+        return override
+    return os.environ.get("REPRO_SIM_KERNEL", "1") != "0"
 
 
-def kernel_applicable(check: bool | None, observe: bool | None) -> bool:
-    """True when the replay kernel may run (see :func:`kernel_applicability`)."""
-    applicable, _reason = kernel_applicability(check, observe)
-    return applicable
+def kernel_applicability(*_ignored: object) -> tuple[bool, str | None]:
+    """Whether the kernel is selected (``REPRO_SIM_KERNEL``), plus why not.
+
+    Returns ``(True, None)`` or ``(False, "REPRO_SIM_KERNEL=0")``.  Any
+    arguments (callers pass the checker/observer settings) are ignored:
+    checked and traced runs run on the kernel too.
+    """
+    if kernel_enabled():
+        return True, None
+    return False, "REPRO_SIM_KERNEL=0"
 
 
-_log = logging.getLogger(__name__)
-
-#: Fallback reasons already warned about in this process (one warning
-#: per reason, not one per simulation — a suite of thousands of checked
-#: runs should say "interpreter because checker" exactly once).
-_WARNED_REASONS: set[str] = set()
-
-
-def _note_kernel_fallback(reason: str) -> None:
-    """Record a silent-fallback event: labeled counter + one-time warning."""
+def count_kernel_run(trace: Trace) -> None:
+    """Telemetry for one completed kernel run (no-op when telemetry is off)."""
     from repro.observe import telemetry
 
     tel = telemetry.maybe()
-    if tel is not None:
-        tel.counter(
-            "repro_kernel_fallback_total",
-            "Replay-kernel runs that fell back to the interpreter, by reason.",
-            labels=("reason",),
-        ).inc(reason=reason)
-    if reason not in _WARNED_REASONS:
-        _WARNED_REASONS.add(reason)
-        _log.warning(
-            "replay kernel inactive (%s): simulating with the interpreter; "
-            "this is the bit-identical slow path, not an error",
-            reason,
-        )
-
-
-class ReplayBPU(BPU):
-    """A BPU that replays the recorded predictor stream by cursor.
-
-    Overrides only the three methods that consult or train TAGE-SC-L /
-    ITTAGE; ``generate``, ``_direct_target``, ``redirect`` and the
-    stall/resume machinery are inherited untouched.  The overridden
-    bodies are line-for-line copies of the interpreter's with the
-    predictor calls replaced by cursor reads — every stats counter, BTB
-    access, RAS operation and hook fires in the identical order.
-    """
-
-    def __init__(
-        self,
-        config: SimConfig,
-        trace: Trace,
-        stats: StatBlock,
-        stream: PredictionStream,
-        columns: KernelColumns,
-        hierarchy: Any = None,
-        prefetcher: Any = None,
-    ) -> None:
-        super().__init__(
-            config, trace, stats, hierarchy=hierarchy, prefetcher=prefetcher
-        )
-        self._stream = stream
-        self._cond_predictions = stream.cond_predictions
-        self._indirect_mispredicts = stream.indirect_mispredicts
-        #: Replay cursors: next conditional / next indirect outcome.
-        self._cond_cursor = 0
-        self._indirect_cursor = 0
-        self._next_branch = columns.next_branch
-        self._lines = columns.lines
-
-    # ------------------------------------------------------------------
-    # Span-batched block building
-    # ------------------------------------------------------------------
-
-    def _build_block(self, cycle: int) -> FetchBlock:
-        classes = self._classes
-        block_size = self._fetch_block_size
-        n_instructions = self._n_instructions
-        next_branch = self._next_branch
-        start = self.index
-        count = 0
-        ends_taken = False
-        mispredicted = False
-
-        while count < block_size and self.index < n_instructions:
-            i = self.index
-            nb = next_branch[i]
-            if nb > i:
-                # Non-branch span: consume it in one jump.  ``nb`` is at
-                # most ``n_instructions`` (the sentinel), so the cursor
-                # never overshoots the trace; the loop condition re-checks
-                # both the block budget and the trace end.
-                run = nb - i
-                room = block_size - count
-                if run > room:
-                    run = room
-                self.index = i + run
-                count += run
-                continue
-            branch_class = classes[i]
-            self.index = i + 1
-            count += 1
-            if branch_class == _NOT_BRANCH:  # defensive; spans cover these
-                continue
-
-            pc = self._pcs[i]
-            taken = self._takens[i]
-            target = self._targets[i]
-
-            if branch_class == _COND_DIRECT:
-                mispredicted, block_taken = self._handle_conditional(
-                    i, pc, taken, target, cycle
-                )
-                if mispredicted or block_taken:
-                    ends_taken = block_taken and not mispredicted
-                    break
-                continue
-
-            # Unconditional branches: always end the fetch block.  The
-            # interpreter's cond.push_unconditional / indirect.push_history
-            # happened in the recording pre-pass.
-            if self.uncond_hook is not None:
-                self.uncond_hook(pc)
-            if branch_class == _UNCOND_DIRECT:
-                self._direct_target(pc, BranchClass.UNCOND_DIRECT, target, cycle)
-            elif branch_class == _CALL_DIRECT:
-                self._direct_target(pc, BranchClass.CALL_DIRECT, target, cycle)
-                self.ras.push(pc + 4)
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            elif branch_class == _CALL_INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-                self.ras.push(pc + 4)
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            elif branch_class == _INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-            elif branch_class == _RETURN:
-                predicted = self.ras.pop()
-                if predicted != target:
-                    self.stats.add("ras_mispredictions")
-                    mispredicted = True
-                    self.stalled_on = i
-                    if self.observer is not None:
-                        self.observer.on_mispredict(i, pc, "return")
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            ends_taken = not mispredicted
-            break
-
-        return FetchBlock(start, count, ends_taken=ends_taken, mispredicted=mispredicted)
-
-    # ------------------------------------------------------------------
-    # Replayed branch-class handlers
-    # ------------------------------------------------------------------
-
-    def _handle_conditional(
-        self, index: int, pc: int, taken: bool, target: int, cycle: int
-    ) -> tuple[bool, bool]:
-        prediction = self._cond_predictions[self._cond_cursor]
-        self._cond_cursor += 1
-        self.stats.add("cond_branches")
-        direction_wrong = prediction.taken != taken
-
-        btb_entry = self.btb.lookup(pc)
-        self.btb_banks_used.add(self.btb.bank_of(pc, n_banks=2 * self.btb.config.n_banks))
-        taken_target: int | None = btb_entry.target if btb_entry else None
-        if taken:
-            self.btb.update(pc, BranchClass.COND_DIRECT, target)
-            taken_target = target if prediction.taken else taken_target
-
-        mispredicted = direction_wrong
-        ends_block = False
-        if direction_wrong:
-            self.stats.add("cond_mispredictions")
-            self.stalled_on = index
-            if self.observer is not None:
-                self.observer.on_mispredict(index, pc, "cond")
-        elif taken:
-            if btb_entry is None:
-                self.stats.add("btb_misses_taken")
-                self.resume_cycle = cycle + self.config.frontend.btb_miss_penalty
-            ends_block = True
-
-        # cond.update / indirect.push_history ran in the pre-pass.
-        if self.branch_hook is not None:
-            self.branch_hook(
-                BranchEvent(index, pc, prediction, taken, taken_target, mispredicted),
-                cycle,
-            )
-        return mispredicted, ends_block
-
-    def _handle_indirect(self, index: int, pc: int, target: int) -> bool:
-        mispredicted = self._indirect_mispredicts[self._indirect_cursor]
-        self._indirect_cursor += 1
-        self.stats.add("indirect_branches")
-        if mispredicted:
-            self.stats.add("indirect_mispredictions")
-            self.stalled_on = index
-            if self.observer is not None:
-                self.observer.on_mispredict(index, pc, "indirect")
-        # indirect.update ran in the pre-pass.
-        if self.indirect_hook is not None:
-            self.indirect_hook(pc, target)
-        branch_class = BranchClass(self._classes[index])
-        self.btb.update(pc, branch_class, target)
-        return mispredicted
-
-    # ------------------------------------------------------------------
-    # FDP with the precomputed line column
-    # ------------------------------------------------------------------
-
-    def _fdp_access(self, block: FetchBlock, cycle: int) -> None:
-        if self.hierarchy is None:
-            return
-        lines = self._lines
-        pcs = self._pcs
-        line_ready = block.line_ready
-        hierarchy = self.hierarchy
-        prefetcher = self.prefetcher
-        stats_add = self.stats.add
-        for index in range(block.start_index, block.end_index):
-            line = lines[index]
-            if line in line_ready:
-                continue
-            hit, ready = hierarchy.fetch_line(pcs[index], cycle)
-            stats_add("l1i_demand_accesses")
-            if not hit:
-                stats_add("l1i_demand_misses")
-            if prefetcher is not None:
-                prefetcher.on_demand_access(line, hit, cycle, hierarchy)
-            line_ready[line] = ready
-
-
-class KernelBackend(Backend):
-    """Backend with the PC-hash columns precomputed (bit-identical)."""
-
-    def __init__(
-        self,
-        config: BackendConfig,
-        trace: Trace,
-        stats: StatBlock,
-        columns: KernelColumns,
-    ) -> None:
-        super().__init__(config, trace, stats)
-        self._latency_column = columns.latency
-        self._distance_column = columns.distance
-
-    def dispatch(self, index: int, cycle: int) -> int:
-        if self._classes[index]:
-            completion = cycle + 1 + self._branch_latency
-            self._completion[index] = completion
-            self._rob.append((index, completion))
-            return completion
-
-        dep_done = self._completion.get(index - self._distance_column[index], 0)
-        earliest = cycle + 1
-        if dep_done > earliest:
-            earliest = dep_done
-        completion = self._schedule(earliest + self._latency_column[index])
-        self._completion[index] = completion
-        self._rob.append((index, completion))
-        return completion
+    if tel is None:
+        return
+    tel.counter(
+        "repro_kernel_runs_total",
+        "Simulations completed on the replay kernel.",
+    ).inc()
+    # Span-jump savings: every non-branch instruction is consumed by a
+    # precomputed-span jump instead of a per-instruction step.
+    tel.counter(
+        "repro_kernel_span_jumped_instructions_total",
+        "Instructions consumed via next_branch span jumps instead "
+        "of per-instruction walking.",
+    ).inc(int((trace.branch_classes == 0).sum()))
 
 
 class KernelSimulator(Simulator):
-    """Simulator wired with the replay BPU and columnar backend.
+    """A :class:`Simulator` with the replay kernel forced on."""
 
-    When :func:`kernel_applicable` says no (checker or observer active),
-    every factory defers to the base class and this is *exactly* the
-    interpreter — one object serves both modes so callers never branch.
-    """
+    #: The kernel never falls back; kept for callers that report the reason.
+    kernel_fallback_reason: str | None = None
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: SimConfig,
-        name: str | None = None,
-        check: bool | None = None,
-        idle_skip: bool | None = None,
-        observe: bool | None = None,
-        interval: int | None = None,
-    ) -> None:
-        self._kernel_active, self._fallback_reason = kernel_applicability(
-            check, observe
-        )
-        if self._fallback_reason is not None:
-            _note_kernel_fallback(self._fallback_reason)
-        self._kernel_columns: KernelColumns | None = None
-        super().__init__(
-            trace,
-            config,
-            name=name,
-            check=check,
-            idle_skip=idle_skip,
-            observe=observe,
-            interval=interval,
-        )
-        if self._kernel_active and (
-            self.checker is not None or self.observer is not None
-        ):  # pragma: no cover - kernel_applicable mirrors the factories
-            raise RuntimeError(
-                "kernel replay active with a checker/observer attached — "
-                "kernel_applicable drifted from make_checker/make_observer"
-            )
-
-    @property
-    def kernel_active(self) -> bool:
-        """True when this run uses the replay kernel (else interpreter)."""
-        return self._kernel_active
-
-    @property
-    def kernel_fallback_reason(self) -> str | None:
-        """Why the kernel is inactive (None when :attr:`kernel_active`)."""
-        return self._fallback_reason
-
-    def run(self) -> SimResult:
-        result = super().run()
-        from repro.observe import telemetry
-
-        tel = telemetry.maybe()
-        if tel is not None and self._kernel_active:
-            tel.counter(
-                "repro_kernel_runs_total",
-                "Simulations completed on the replay kernel.",
-            ).inc()
-            # Span-jump savings: every non-branch instruction is consumed
-            # by a precomputed-span jump instead of a per-instruction step.
-            classes = self.trace.branch_classes
-            tel.counter(
-                "repro_kernel_span_jumped_instructions_total",
-                "Instructions consumed via next_branch span jumps instead "
-                "of per-instruction walking.",
-            ).inc(int((classes == 0).sum()))
-        return result
-
-    def _make_bpu(self) -> BPU:
-        if not self._kernel_active:
-            return super()._make_bpu()
-        columns = get_columns(self.trace, self.config)
-        self._kernel_columns = columns
-        stream = get_stream(self.trace, self.config)
-        return ReplayBPU(
-            self.config,
-            self.trace,
-            self.stats,
-            stream,
-            columns,
-            hierarchy=self.hierarchy,
-            prefetcher=self.prefetcher,
-        )
-
-    def _make_backend(self) -> Backend:
-        if not self._kernel_active:
-            return super()._make_backend()
-        columns = self._kernel_columns
-        assert columns is not None  # _make_bpu runs first in Simulator.__init__
-        return KernelBackend(self.config.backend, self.trace, self.stats, columns)
+    def __init__(self, trace: Trace, config: SimConfig, **options: Any) -> None:
+        super().__init__(trace, config, kernel=True, **options)

@@ -9,16 +9,18 @@ function of (trace, predictor configs) — block boundaries, FTQ pressure
 and stall cycles only change *when* a branch is processed, never *what*
 the predictors see.
 
-This module runs that sequence once per (trace, predictor-config) pair
-— mirroring ``BPU._build_block``'s call order exactly — and records
+:func:`record_stream` therefore drives a
+:class:`~repro.frontend.bpu.LiveSource` — the interpreter's own
+prediction source, so the call order exists once — over the trace's
+branches and records
 
 * the :class:`~repro.branch.tage_sc_l.TageScLPrediction` object for
   every conditional branch, and
 * the mispredict outcome for every indirect/indirect-call branch,
 
-which :class:`repro.core.kernel.engine.ReplayBPU` then consumes by
-cursor.  Everything *not* recorded here (BTB contents, RAS, bank sets,
-``taken_target``) stays live in the replay BPU: those structures are
+which a :class:`~repro.frontend.bpu.ReplaySource` then hands back to the
+BPU by cursor.  Everything *not* recorded here (BTB contents, RAS, bank
+sets, ``taken_target``) stays live in the BPU: those structures are
 cheap, and UCP reads them mid-run.
 
 Streams are cached per live trace object in a weak-key map (the
@@ -31,15 +33,14 @@ from __future__ import annotations
 
 import weakref
 
-from repro.branch.ittage import ITTAGE
-from repro.branch.tage_sc_l import TageScL, TageScLPrediction
+from repro.branch.tage_sc_l import TageScLPrediction
 from repro.core.configs import SimConfig
+from repro.core.kernel.columns import per_trace_lookup
+from repro.frontend.bpu import INDIRECT_CLASSES, LiveSource
 from repro.isa.instruction import BranchClass
 from repro.isa.trace import Trace
 
 _COND_DIRECT = int(BranchClass.COND_DIRECT)
-_CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
-_INDIRECT = int(BranchClass.INDIRECT)
 
 #: Cache key: the two predictor configs (frozen dataclasses).  BTB and
 #: RAS configuration is deliberately absent — neither feeds the TAGE or
@@ -68,49 +69,19 @@ def stream_key(config: SimConfig) -> StreamKey:
 
 
 def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
-    """One pre-pass over the trace's branches (no caching).
-
-    The call order per branch class mirrors ``BPU._build_block`` /
-    ``BPU._handle_conditional`` / ``BPU._handle_indirect`` exactly —
-    predictor state is path-dependent, so any reordering would change
-    later predictions:
-
-    * conditional: ``cond.predict``, ``cond.update``,
-      ``indirect.push_history(pc, taken)``;
-    * any unconditional: ``cond.push_unconditional``,
-      ``indirect.push_history(pc, True)``;
-    * indirect / indirect call (additionally): ``indirect.predict``,
-      ``indirect.update``.
-
-    Returns and direct jumps/calls consult no predictor (the RAS stays
-    live in the replay BPU), so only their history pushes appear here.
-    """
-    cond = TageScL(config.branch_predictor)
-    indirect = ITTAGE(config.indirect_predictor)
+    """One pre-pass of the live source over the trace's branches (no caching)."""
+    source = LiveSource(config, len(trace))
     pcs, classes, takens, targets, _next_pcs = trace.list_columns()
-
     cond_predictions: list[TageScLPrediction] = []
     indirect_mispredicts: list[bool] = []
-
-    branch_indices = trace.branch_classes.nonzero()[0].tolist()
-    for i in branch_indices:
+    for i in trace.branch_classes.nonzero()[0].tolist():
         branch_class = classes[i]
-        pc = pcs[i]
         if branch_class == _COND_DIRECT:
-            taken = takens[i]
-            prediction = cond.predict(pc)
-            cond_predictions.append(prediction)
-            cond.update(prediction, taken)
-            indirect.push_history(pc, taken)
+            cond_predictions.append(source.conditional(pcs[i], takens[i]))
             continue
-        cond.push_unconditional(pc)
-        indirect.push_history(pc, True)
-        if branch_class == _CALL_INDIRECT or branch_class == _INDIRECT:
-            target = targets[i]
-            ipred = indirect.predict(pc)
-            indirect_mispredicts.append(ipred.target != target)
-            indirect.update(ipred, target)
-
+        mispredicted = source.unconditional(pcs[i], branch_class, targets[i])
+        if branch_class in INDIRECT_CLASSES:
+            indirect_mispredicts.append(mispredicted)
     return PredictionStream(cond_predictions, indirect_mispredicts)
 
 
@@ -121,23 +92,13 @@ _CACHE: weakref.WeakKeyDictionary[Trace, dict[StreamKey, PredictionStream]] = (
 
 def get_stream(trace: Trace, config: SimConfig) -> PredictionStream:
     """Cached :func:`record_stream` (weakly keyed by the trace object)."""
-    per_trace = _CACHE.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _CACHE[trace] = per_trace
-    key = stream_key(config)
-    stream = per_trace.get(key)
-    built = stream is None
-    if stream is None:
-        stream = per_trace[key] = record_stream(trace, config)
-    from repro.observe import telemetry
-
-    tel = telemetry.maybe()
-    if tel is not None:
-        tel.counter(
-            "repro_kernel_stream_total",
-            "Prediction-stream lookups: recorded fresh vs replayed from "
-            "the per-trace cache.",
-            labels=("outcome",),
-        ).inc(outcome="recorded" if built else "reused")
-    return stream
+    return per_trace_lookup(
+        _CACHE,
+        trace,
+        stream_key(config),
+        lambda: record_stream(trace, config),
+        "repro_kernel_stream_total",
+        "Prediction-stream lookups: recorded fresh vs replayed from the "
+        "per-trace cache.",
+        fresh="recorded",
+    )

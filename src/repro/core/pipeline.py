@@ -30,7 +30,7 @@ from repro.core.backend import Backend
 from repro.core.codemap import CodeMap
 from repro.core.configs import SimConfig
 from repro.core.mrc import MRC
-from repro.frontend.bpu import BPU, BranchEvent
+from repro.frontend.bpu import BPU, BranchEvent, LiveSource, ReplaySource
 from repro.frontend.fetch import NEVER, FetchEngine
 from repro.frontend.ftq import FTQ
 from repro.isa.trace import Trace
@@ -163,7 +163,10 @@ class Simulator:
         idle_skip: bool | None = None,
         observe: bool | None = None,
         interval: int | None = None,
+        kernel: bool | None = None,
     ) -> None:
+        from repro.core.kernel import get_columns, get_stream, kernel_enabled
+
         self.trace = trace
         self.config = config
         self.name = name or trace.name
@@ -182,7 +185,25 @@ class Simulator:
                 )
         self.prefetcher = make_prefetcher(config.l1i_prefetcher)
         self.mrc = MRC(config.mrc_entries) if config.mrc_entries else None
-        self.bpu = self._make_bpu()
+        # The batched kernel and the interpreter differ in one input only:
+        # the BPU's prediction source (replayed stream vs live predictors).
+        # ``kernel=None`` defers to REPRO_SIM_KERNEL; like idle_skip it
+        # stays out of SimConfig, since results are bit-identical either way.
+        self.kernel_active = kernel_enabled(kernel)
+        columns = get_columns(trace, config)
+        source = (
+            ReplaySource(get_stream(trace, config), columns.next_branch)
+            if self.kernel_active
+            else LiveSource(config, len(trace))
+        )
+        self.bpu = BPU(
+            config,
+            trace,
+            self.stats,
+            hierarchy=self.hierarchy,
+            prefetcher=self.prefetcher,
+            source=source,
+        )
         self.fetch = FetchEngine(
             config,
             trace,
@@ -193,7 +214,7 @@ class Simulator:
             prefetcher=self.prefetcher,
             mrc=self.mrc,
         )
-        self.backend = self._make_backend()
+        self.backend = Backend(config.backend, trace, self.stats, columns)
         self.ftq = FTQ(config.frontend.ftq_capacity)
         self.confidence = {
             "tage": ConfidenceStats("tage"),
@@ -242,25 +263,10 @@ class Simulator:
         self._fetch_block_size = config.frontend.fetch_block_size
         self._n_instructions = len(trace)
 
-    # ------------------------------------------------------------------
-    # Component factories
-    # ------------------------------------------------------------------
-    # The batched kernel (repro.core.kernel) swaps the two hot components
-    # by overriding these; everything else — including run() itself — is
-    # shared, which is what makes the kernel bit-identical by
-    # construction.
-
-    def _make_bpu(self) -> BPU:
-        return BPU(
-            self.config,
-            self.trace,
-            self.stats,
-            hierarchy=self.hierarchy,
-            prefetcher=self.prefetcher,
-        )
-
-    def _make_backend(self) -> Backend:
-        return Backend(self.config.backend, self.trace, self.stats)
+    @property
+    def engine(self) -> str:
+        """``"kernel"`` or ``"interpreter"``: where predictions come from."""
+        return "kernel" if self.kernel_active else "interpreter"
 
     # ------------------------------------------------------------------
     # Hooks
@@ -463,6 +469,10 @@ class Simulator:
             observer.on_finish(cycle)
         if intervals is not None:
             intervals.finish(cycle, committed)
+        if self.kernel_active:
+            from repro.core.kernel import count_kernel_run
+
+            count_kernel_run(trace)
 
         if warm_snapshot is None:  # degenerate warmup fractions
             warm_snapshot = {}
@@ -511,23 +521,9 @@ def simulate(
     ``kernel`` selects the batched replay kernel
     (:mod:`repro.core.kernel`) or the scalar interpreter; None defers to
     ``REPRO_SIM_KERNEL`` (default on, ``"0"`` disables).  Results are
-    bit-identical either way — the kernel falls back to the interpreter
-    on its own whenever the checker or observer is active.  Like the
-    other knobs, it is deliberately not part of ``SimConfig`` so the
-    result-cache key cannot depend on it.
+    bit-identical either way.  Like the other knobs, it is deliberately
+    not part of ``SimConfig`` so the result-cache key cannot depend on it.
     """
-    from repro.core.kernel import KernelSimulator, kernel_enabled
-
-    if kernel_enabled(kernel):
-        return KernelSimulator(
-            trace,
-            config,
-            name=name,
-            check=check,
-            idle_skip=idle_skip,
-            observe=observe,
-            interval=interval,
-        ).run()
     return Simulator(
         trace,
         config,
@@ -536,4 +532,5 @@ def simulate(
         idle_skip=idle_skip,
         observe=observe,
         interval=interval,
+        kernel=kernel,
     ).run()

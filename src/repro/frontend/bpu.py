@@ -13,11 +13,17 @@ a decode re-steer bubble and train the BTB.
 Every processed conditional branch is reported through ``branch_hook`` —
 the attachment point for confidence statistics and for UCP's alternate-
 path trigger.
+
+TAGE-SC-L/ITTAGE outcomes come from a prediction source: a
+:class:`LiveSource` runs the predictors (the interpreter), a
+:class:`ReplaySource` replays a recorded stream and lets the BPU jump
+over non-branch runs (the batched kernel).  All else is shared code.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.branch.btb import make_btb
 from repro.branch.ittage import ITTAGE
@@ -29,6 +35,9 @@ from repro.frontend.ftq import FTQ, FetchBlock
 from repro.isa.instruction import BranchClass
 from repro.isa.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.core.kernel.stream import PredictionStream
+
 # BranchClass values as plain ints: the generation loop compares one per
 # instruction, and IntEnum member access/comparison goes through
 # ``enum.__getattr__`` — measurably slow at trace scale.
@@ -39,6 +48,8 @@ _CALL_DIRECT = int(BranchClass.CALL_DIRECT)
 _CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
 _INDIRECT = int(BranchClass.INDIRECT)
 _RETURN = int(BranchClass.RETURN)
+#: Branch classes whose target ITTAGE predicts.
+INDIRECT_CLASSES = (_CALL_INDIRECT, _INDIRECT)
 
 
 class BranchEvent:
@@ -65,6 +76,63 @@ class BranchEvent:
         self.mispredicted = mispredicted
 
 
+class LiveSource:
+    """Runs TAGE-SC-L + ITTAGE as the BPU reaches each branch.
+
+    The one place the predictor call order is written:
+    :func:`repro.core.kernel.stream.record_stream` records by driving it.
+    """
+
+    def __init__(self, config: SimConfig, n_instructions: int) -> None:
+        self.cond = TageScL(config.branch_predictor)
+        self.indirect = ITTAGE(config.indirect_predictor)
+        #: Span column that never jumps: the BPU walks every instruction.
+        self.spans: Sequence[int] = range(n_instructions)
+
+    def conditional(self, pc: int, taken: bool) -> TageScLPrediction:
+        """TAGE-SC-L ``predict`` → ``update`` → ITTAGE ``push_history``."""
+        prediction = self.cond.predict(pc)
+        self.cond.update(prediction, taken)
+        self.indirect.push_history(pc, taken)
+        return prediction
+
+    def unconditional(self, pc: int, branch_class: int, target: int) -> bool:
+        """Push both histories, then predict/train ITTAGE on an indirect
+        branch; True when ITTAGE missed the target."""
+        self.cond.push_unconditional(pc)
+        self.indirect.push_history(pc, True)
+        if branch_class not in INDIRECT_CLASSES:
+            return False
+        prediction = self.indirect.predict(pc)
+        self.indirect.update(prediction, target)
+        return prediction.target != target
+
+
+class ReplaySource:
+    """Replays a recorded :class:`~repro.core.kernel.stream.PredictionStream`
+    by cursor; ``spans`` is the kernel's ``next_branch`` column."""
+
+    def __init__(self, stream: PredictionStream, spans: Sequence[int]) -> None:
+        self._cond = stream.cond_predictions
+        self._indirect = stream.indirect_mispredicts
+        #: Next conditional / next indirect outcome to replay.
+        self._cond_cursor = 0
+        self._indirect_cursor = 0
+        self.spans = spans
+
+    def conditional(self, pc: int, taken: bool) -> TageScLPrediction:
+        prediction = self._cond[self._cond_cursor]
+        self._cond_cursor += 1
+        return prediction
+
+    def unconditional(self, pc: int, branch_class: int, target: int) -> bool:
+        if branch_class not in INDIRECT_CLASSES:
+            return False
+        mispredicted = self._indirect[self._indirect_cursor]
+        self._indirect_cursor += 1
+        return mispredicted
+
+
 class BPU:
     """Decoupled branch-prediction-directed address generation."""
 
@@ -75,6 +143,7 @@ class BPU:
         stats: StatBlock,
         hierarchy: Any = None,
         prefetcher: Any = None,
+        source: LiveSource | ReplaySource | None = None,
     ) -> None:
         self.config = config
         self.trace = trace
@@ -87,9 +156,12 @@ class BPU:
         self._n_instructions = len(trace)
         self._blocks_per_cycle = config.frontend.bpu_blocks_per_cycle
         self._fetch_block_size = config.frontend.fetch_block_size
-        self.cond = TageScL(config.branch_predictor)
+        #: Where TAGE-SC-L / ITTAGE outcomes come from (live by default).
+        self.source = source if source is not None else LiveSource(config, len(trace))
+        self._spans = self.source.spans
+        self._conditional = self.source.conditional
+        self._unconditional = self.source.unconditional
         self.btb = make_btb(config.btb)
-        self.indirect = ITTAGE(config.indirect_predictor)
         self.ras = ReturnAddressStack(64)
         #: Next trace index to generate an address for.
         self.index = 0
@@ -136,6 +208,7 @@ class BPU:
         """Walk the predicted path (== trace path, with stalls at wrong
         predictions) until a block-terminating event."""
         classes = self._classes
+        spans = self._spans
         block_size = self._fetch_block_size
         n_instructions = self._n_instructions
         start = self.index
@@ -145,8 +218,20 @@ class BPU:
 
         while count < block_size and self.index < n_instructions:
             i = self.index
+            span_end = spans[i]
+            if span_end > i:
+                # Non-branch run: consume it in one jump.  ``span_end`` is
+                # at most ``n_instructions``; the loop condition re-checks
+                # both the block budget and the trace end.
+                run = span_end - i
+                room = block_size - count
+                if run > room:
+                    run = room
+                self.index = i + run
+                count += run
+                continue
             branch_class = classes[i]
-            self.index += 1
+            self.index = i + 1
             count += 1
             if branch_class == _NOT_BRANCH:
                 continue
@@ -165,8 +250,7 @@ class BPU:
                 continue
 
             # Unconditional branches: always end the fetch block.
-            self.cond.push_unconditional(pc)
-            self.indirect.push_history(pc, True)
+            target_wrong = self._unconditional(pc, branch_class, target)
             if self.uncond_hook is not None:
                 self.uncond_hook(pc)
             if branch_class == _UNCOND_DIRECT:
@@ -177,12 +261,12 @@ class BPU:
                 if self.context_hook is not None:
                     self.context_hook(pc, target)
             elif branch_class == _CALL_INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
+                mispredicted = self._handle_indirect(i, pc, target, target_wrong)
                 self.ras.push(pc + 4)
                 if self.context_hook is not None:
                     self.context_hook(pc, target)
             elif branch_class == _INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
+                mispredicted = self._handle_indirect(i, pc, target, target_wrong)
             elif branch_class == _RETURN:
                 predicted = self.ras.pop()
                 if predicted != target:
@@ -201,23 +285,26 @@ class BPU:
     def _fdp_access(self, block: FetchBlock, cycle: int) -> None:
         """Fetch-directed prefetching: access the L1I for the block's lines
         as soon as the block enters the FTQ, overlapping misses."""
-        if self.hierarchy is None:
+        hierarchy = self.hierarchy
+        if hierarchy is None:
             return
-        line_size = self.hierarchy.config.l1i.line_size
+        line_size = hierarchy.config.l1i.line_size
         pcs = self._pcs
         line_ready = block.line_ready
+        prefetcher = self.prefetcher
+        stats_add = self.stats.add
         for index in range(block.start_index, block.end_index):
             pc = pcs[index]
             line = pc // line_size
             if line in line_ready:
                 continue
-            hit, ready = self.hierarchy.fetch_line(pc, cycle)
-            self.stats.add("l1i_demand_accesses")
+            hit, ready = hierarchy.fetch_line(pc, cycle)
+            stats_add("l1i_demand_accesses")
             if not hit:
-                self.stats.add("l1i_demand_misses")
-            if self.prefetcher is not None:
-                self.prefetcher.on_demand_access(line, hit, cycle, self.hierarchy)
-            block.line_ready[line] = ready
+                stats_add("l1i_demand_misses")
+            if prefetcher is not None:
+                prefetcher.on_demand_access(line, hit, cycle, hierarchy)
+            line_ready[line] = ready
 
     # ------------------------------------------------------------------
     # Branch-class handlers
@@ -226,8 +313,8 @@ class BPU:
     def _handle_conditional(
         self, index: int, pc: int, taken: bool, target: int, cycle: int
     ) -> tuple[bool, bool]:
-        """Predict/update one conditional; returns (mispredicted, ends_block)."""
-        prediction = self.cond.predict(pc)
+        """Predict one conditional; returns (mispredicted, ends_block)."""
+        prediction = self._conditional(pc, taken)
         self.stats.add("cond_branches")
         direction_wrong = prediction.taken != taken
 
@@ -252,9 +339,6 @@ class BPU:
                 self.resume_cycle = cycle + self.config.frontend.btb_miss_penalty
             ends_block = True
 
-        self.cond.update(prediction, taken)
-        self.indirect.push_history(pc, taken)
-
         if self.branch_hook is not None:
             self.branch_hook(
                 BranchEvent(index, pc, prediction, taken, taken_target, mispredicted),
@@ -272,16 +356,14 @@ class BPU:
             self.resume_cycle = cycle + self.config.frontend.btb_miss_penalty
         self.btb.update(pc, branch_class, target)
 
-    def _handle_indirect(self, index: int, pc: int, target: int) -> bool:
-        prediction = self.indirect.predict(pc)
+    def _handle_indirect(self, index: int, pc: int, target: int, mispredicted: bool) -> bool:
+        """Account one indirect branch whose target the source predicted."""
         self.stats.add("indirect_branches")
-        mispredicted = prediction.target != target
         if mispredicted:
             self.stats.add("indirect_mispredictions")
             self.stalled_on = index
             if self.observer is not None:
                 self.observer.on_mispredict(index, pc, "indirect")
-        self.indirect.update(prediction, target)
         if self.indirect_hook is not None:
             self.indirect_hook(pc, target)
         branch_class = BranchClass(self._classes[index])

@@ -29,7 +29,6 @@ _TOP_FAMILIES = (
     "repro_cache_evictions_total",
     "repro_engine_jobs_total",
     "repro_kernel_runs_total",
-    "repro_kernel_fallback_total",
 )
 
 

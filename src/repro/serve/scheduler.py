@@ -58,7 +58,6 @@ from repro.analysis.parallel import (
 )
 from repro.common.stats import StatBlock
 from repro.core.configs import SimConfig
-from repro.core.kernel import KernelSimulator, kernel_enabled
 from repro.core.pipeline import SimResult, Simulator
 from repro.observe import telemetry
 from repro.observe.telemetry import Span, SpanContext, SpanSink
@@ -128,11 +127,8 @@ def _default_job_entry(
             else None
         )
         spec = load_workload(workload, n_instructions)
-        # Same engine selection as the CLI: the replay kernel when enabled
-        # (it falls back to the interpreter itself while an observer is
-        # armed, recording the fallback counter), the interpreter otherwise.
-        sim_cls = KernelSimulator if kernel_enabled() else Simulator
-        sim = sim_cls(spec.trace, config, name=workload, observe=True)
+        # The engine follows REPRO_SIM_KERNEL, as in the CLI.
+        sim = Simulator(spec.trace, config, name=workload, observe=True)
         result = sim.run()
         if sim.observer is not None:
             taxonomy = sim.observer.taxonomy.as_dict()

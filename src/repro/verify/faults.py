@@ -28,6 +28,7 @@ from repro.caches.cache import CacheConfig
 from repro.caches.hierarchy import HierarchyConfig
 from repro.core.configs import SimConfig
 from repro.core.pipeline import Simulator
+from repro.isa.trace import Trace
 from repro.verify.invariants import SimCheckError
 from repro.workloads import load_workload
 
@@ -298,23 +299,23 @@ class FaultResult:
         return f"MISSED  {self.fault}: {self.detail}"
 
 
-def run_fault(name: str) -> FaultResult:
-    """Inject one fault and run with the checker on; report the catch.
+def run_injected(fault: Fault, body: Callable[[Trace], object]) -> FaultResult:
+    """Run ``body`` on the fault's workload with the fault injected.
 
-    A fault that wedges the pipeline is still a catch *only* if an
-    invariant fired first — a bare no-forward-progress RuntimeError counts
-    as missed, since the sanitizer's job is to localise the bug.
+    A catch is a :class:`SimCheckError` from one of the fault's expected
+    invariants.  A run that dies some other way — a wedged pipeline's
+    no-forward-progress RuntimeError, a replay cursor's IndexError — or
+    completes cleanly counts as missed, since the checks' job is to
+    localise the bug.
     """
-    fault = FAULTS[name]
     trace = load_workload(fault.workload, fault.n_instructions).trace
     with fault.inject():
-        sim = Simulator(trace, fault.config, name=fault.workload, check=True)
         try:
-            sim.run()
+            body(trace)
         except SimCheckError as error:
             expected = error.invariant in fault.expected_invariants
             return FaultResult(
-                fault=name,
+                fault=fault.name,
                 caught=expected,
                 invariant=error.invariant,
                 cycle=error.cycle,
@@ -322,20 +323,35 @@ def run_fault(name: str) -> FaultResult:
                 if expected
                 else f"fired unexpected invariant: {error}",
             )
-        except RuntimeError as error:
+        except (RuntimeError, IndexError) as error:
             return FaultResult(
-                fault=name,
+                fault=fault.name,
                 caught=False,
                 invariant=None,
                 cycle=None,
-                detail=f"run died without an invariant firing: {error}",
+                detail=f"run died without a check firing: {error!r}",
             )
     return FaultResult(
-        fault=name,
+        fault=fault.name,
         caught=False,
         invariant=None,
         cycle=None,
-        detail="simulation completed cleanly — fault undetected",
+        detail="run completed cleanly — fault undetected",
+    )
+
+
+def run_fault(name: str, kernel: bool | None = None) -> FaultResult:
+    """Inject one fault and run with the checker on; report the catch.
+
+    ``kernel`` selects the engine as ``Simulator(kernel=...)`` does (None
+    defers to ``REPRO_SIM_KERNEL``).
+    """
+    fault = FAULTS[name]
+    return run_injected(
+        fault,
+        lambda trace: Simulator(
+            trace, fault.config, name=fault.workload, check=True, kernel=kernel
+        ).run(),
     )
 
 

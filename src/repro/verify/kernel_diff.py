@@ -9,12 +9,11 @@ runs both paths on the same trace/config and raises
 ``kernel-differential`` on any divergence, pinpointing the first key
 that differs.
 
-The kernel side is forced on (``check=False, observe=False``) so the
-replay path is *always* the thing under test — even in CI jobs that
-export ``REPRO_SIM_CHECK=1``, where the kernel would otherwise fall back
-to the interpreter and the comparison would be vacuous.  The interpreter
-side defers to the environment, so the sanitizer's invariants stay armed
-on the reference run.
+The two sides differ only in the engine: the interpreter side is
+pinned to ``kernel=False`` and the kernel side is a
+:class:`~repro.core.kernel.KernelSimulator`.  Both defer to the
+environment for the sanitizer and the observer, so a CI job that exports
+``REPRO_SIM_CHECK=1`` checks every invariant on both runs.
 
 Also usable as a CLI (``python -m repro.verify.kernel_diff``) which
 writes a JSON comparison artifact — per-case instr/s for both paths and
@@ -75,27 +74,13 @@ def kernel_differential(
     """
     t0 = time.perf_counter()  # lint-ok: SIM002 timing telemetry, never touches results
     interp_sim = Simulator(
-        trace, config, name=name, idle_skip=idle_skip, interval=interval
+        trace, config, name=name, idle_skip=idle_skip, interval=interval, kernel=False
     )
     interp = interp_sim.run()
     t1 = time.perf_counter()  # lint-ok: SIM002 timing telemetry, never touches results
     kernel_sim = KernelSimulator(
-        trace,
-        config,
-        name=name,
-        check=False,
-        observe=False,
-        idle_skip=idle_skip,
-        interval=interval,
+        trace, config, name=name, idle_skip=idle_skip, interval=interval
     )
-    if not kernel_sim.kernel_active:  # pragma: no cover - defensive
-        raise SimCheckError(
-            KERNEL_DIFFERENTIAL,
-            name,
-            0,
-            "kernel path not active despite check=False/observe=False — "
-            "the differential would compare the interpreter to itself",
-        )
     kernel = kernel_sim.run()
     t2 = time.perf_counter()  # lint-ok: SIM002 timing telemetry, never touches results
 

@@ -3,13 +3,13 @@
 The batched kernel's correctness story rests on the kernel-vs-interpreter
 differential oracle (:mod:`repro.verify.kernel_diff`).  This module
 proves the oracle's *sensitivity* the same way :mod:`repro.verify.faults`
-proves the sanitizer's: each fault monkeypatches one
-:class:`~repro.core.kernel.engine.ReplayBPU` method with a subtly broken
-clone — the exact class of bug a batching refactor invites — and the
-harness asserts the differential fires with the ``kernel-differential``
-invariant.  Because only the replay class is patched, the interpreter
-reference stays clean and the oracle is the *only* thing standing
-between the bug and a silently wrong result.
+proves the sanitizer's: each fault breaks one seam only the kernel uses —
+the replay span column, the replay cursor, or the recorded prediction
+stream — and the harness asserts the differential fires with the
+``kernel-differential`` invariant.  ``BPU``, the live prediction source
+and ``Backend`` are never patched, so the interpreter reference stays
+clean and the oracle is the *only* thing standing between the bug and a
+silently wrong result.
 
 Exposed through ``repro verify --inject`` / ``--list-faults`` alongside
 the core and service fault registries.
@@ -17,250 +17,115 @@ the core and service fault registries.
 
 from __future__ import annotations
 
-from repro.verify.faults import Fault, FaultResult, _patched
-from repro.verify.invariants import SimCheckError
-from repro.verify.kernel_diff import kernel_differential
-from repro.workloads import load_workload
+import contextlib
+import weakref
+from collections.abc import Callable, Iterator
+from typing import Any
+
+from repro.core.kernel import stream as stream_module
+from repro.frontend.bpu import INDIRECT_CLASSES, ReplaySource
+from repro.isa.instruction import BranchClass
+from repro.verify.faults import Fault, FaultResult, _patched, run_injected
+from repro.verify.kernel_diff import KERNEL_DIFFERENTIAL, kernel_differential
 
 KERNEL_FAULTS: dict[str, Fault] = {}
 
 
-def _register(fault: Fault) -> Fault:
-    if fault.name in KERNEL_FAULTS:
-        raise ValueError(f"duplicate kernel fault {fault.name!r}")
-    KERNEL_FAULTS[fault.name] = fault
-    return fault
+def _register(name: str, description: str, **fields: Any) -> None:
+    """Register a fault that only the differential oracle may catch."""
+    if name in KERNEL_FAULTS:
+        raise ValueError(f"duplicate kernel fault {name!r}")
+    KERNEL_FAULTS[name] = Fault(
+        name=name,
+        description=description,
+        expected_invariants=(KERNEL_DIFFERENTIAL,),
+        **fields,
+    )
+
+
+def _after_replay_init(adjust: Callable[[ReplaySource], None]):
+    """Patch :class:`ReplaySource` construction to end with ``adjust``."""
+    original = ReplaySource.__init__
+
+    def __init__(self, stream, spans):
+        original(self, stream, spans)
+        adjust(self)
+
+    return _patched(ReplaySource, "__init__", __init__)
 
 
 # ----------------------------------------------------------------------
-# The faults.  Each clones a ReplayBPU method minus one detail.
+# The faults.  Each breaks one replay-only seam.
 # ----------------------------------------------------------------------
 
 
 def _inject_span_off_by_one():
-    """Span jump consumes one instruction too many (may swallow a branch)."""
-    from repro.core.kernel.engine import ReplayBPU
-    from repro.frontend.bpu import BranchClass
-    from repro.frontend.ftq import FetchBlock
+    """Every replay span overshoots by one instruction."""
 
-    _NOT_BRANCH = int(BranchClass.NOT_BRANCH)
-    _COND_DIRECT = int(BranchClass.COND_DIRECT)
-    _UNCOND_DIRECT = int(BranchClass.UNCOND_DIRECT)
-    _CALL_DIRECT = int(BranchClass.CALL_DIRECT)
-    _CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
-    _INDIRECT = int(BranchClass.INDIRECT)
-    _RETURN = int(BranchClass.RETURN)
+    def overshoot(source: ReplaySource) -> None:
+        n = len(source.spans)
+        # BUG: off-by-one span end — the branch that ends each non-branch
+        # run is jumped over as a plain instruction, so its handler never
+        # runs.  (A fresh list: the cached columns stay intact.)
+        source.spans = [
+            min(end + 1, n) if end > i else end for i, end in enumerate(source.spans)
+        ]
 
-    def _build_block(self, cycle):
-        classes = self._classes
-        block_size = self._fetch_block_size
-        n_instructions = self._n_instructions
-        next_branch = self._next_branch
-        start = self.index
-        count = 0
-        ends_taken = False
-        mispredicted = False
-
-        while count < block_size and self.index < n_instructions:
-            i = self.index
-            nb = next_branch[i]
-            if nb > i:
-                # BUG: off-by-one span length — the terminating branch is
-                # counted as part of the non-branch run, so it is consumed
-                # as a plain instruction and its handler never runs.
-                run = nb - i + 1
-                room = block_size - count
-                if run > room:
-                    run = room
-                if i + run > n_instructions:
-                    run = n_instructions - i
-                self.index = i + run
-                count += run
-                continue
-            branch_class = classes[i]
-            self.index = i + 1
-            count += 1
-            if branch_class == _NOT_BRANCH:
-                continue
-
-            pc = self._pcs[i]
-            taken = self._takens[i]
-            target = self._targets[i]
-
-            if branch_class == _COND_DIRECT:
-                mispredicted, block_taken = self._handle_conditional(
-                    i, pc, taken, target, cycle
-                )
-                if mispredicted or block_taken:
-                    ends_taken = block_taken and not mispredicted
-                    break
-                continue
-
-            if self.uncond_hook is not None:
-                self.uncond_hook(pc)
-            if branch_class == _UNCOND_DIRECT:
-                self._direct_target(pc, BranchClass.UNCOND_DIRECT, target, cycle)
-            elif branch_class == _CALL_DIRECT:
-                self._direct_target(pc, BranchClass.CALL_DIRECT, target, cycle)
-                self.ras.push(pc + 4)
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            elif branch_class == _CALL_INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-                self.ras.push(pc + 4)
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            elif branch_class == _INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-            elif branch_class == _RETURN:
-                predicted = self.ras.pop()
-                if predicted != target:
-                    self.stats.add("ras_mispredictions")
-                    mispredicted = True
-                    self.stalled_on = i
-                    if self.observer is not None:
-                        self.observer.on_mispredict(i, pc, "return")
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            ends_taken = not mispredicted
-            break
-
-        return FetchBlock(start, count, ends_taken=ends_taken, mispredicted=mispredicted)
-
-    return _patched(ReplayBPU, "_build_block", _build_block)
+    return _after_replay_init(overshoot)
 
 
 _register(
-    Fault(
-        name="kernel-span-off-by-one",
-        description="replay span jump overshoots by one instruction, "
-        "swallowing branches at span boundaries without handling them",
-        expected_invariants=("kernel-differential",),
-        inject=_inject_span_off_by_one,
-    )
+    "kernel-span-off-by-one",
+    "replay span jump overshoots by one instruction, swallowing branches "
+    "at span boundaries without handling them",
+    inject=_inject_span_off_by_one,
 )
 
 
-def _inject_stale_branch_class():
-    """Replay treats direct calls as plain jumps (RAS never pushed)."""
-    from repro.core.kernel.engine import ReplayBPU
-    from repro.frontend.bpu import BranchClass
-    from repro.frontend.ftq import FetchBlock
-
-    _NOT_BRANCH = int(BranchClass.NOT_BRANCH)
-    _COND_DIRECT = int(BranchClass.COND_DIRECT)
-    _UNCOND_DIRECT = int(BranchClass.UNCOND_DIRECT)
-    _CALL_DIRECT = int(BranchClass.CALL_DIRECT)
-    _CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
-    _INDIRECT = int(BranchClass.INDIRECT)
-    _RETURN = int(BranchClass.RETURN)
-
-    def _build_block(self, cycle):
-        classes = self._classes
-        block_size = self._fetch_block_size
-        n_instructions = self._n_instructions
-        next_branch = self._next_branch
-        start = self.index
-        count = 0
-        ends_taken = False
-        mispredicted = False
-
-        while count < block_size and self.index < n_instructions:
-            i = self.index
-            nb = next_branch[i]
-            if nb > i:
-                run = nb - i
-                room = block_size - count
-                if run > room:
-                    run = room
-                self.index = i + run
-                count += run
-                continue
-            branch_class = classes[i]
-            self.index = i + 1
-            count += 1
-            if branch_class == _NOT_BRANCH:
-                continue
-
-            pc = self._pcs[i]
-            taken = self._takens[i]
-            target = self._targets[i]
-
-            if branch_class == _COND_DIRECT:
-                mispredicted, block_taken = self._handle_conditional(
-                    i, pc, taken, target, cycle
-                )
-                if mispredicted or block_taken:
-                    ends_taken = block_taken and not mispredicted
-                    break
-                continue
-
-            if self.uncond_hook is not None:
-                self.uncond_hook(pc)
-            # BUG: stale branch class — CALL_DIRECT falls into the plain
-            # UNCOND_DIRECT arm, so the return address is never pushed and
-            # every matching return pops a stale RAS entry.
-            if branch_class == _UNCOND_DIRECT or branch_class == _CALL_DIRECT:
-                self._direct_target(pc, BranchClass.UNCOND_DIRECT, target, cycle)
-            elif branch_class == _CALL_INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-                self.ras.push(pc + 4)
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            elif branch_class == _INDIRECT:
-                mispredicted = self._handle_indirect(i, pc, target)
-            elif branch_class == _RETURN:
-                predicted = self.ras.pop()
-                if predicted != target:
-                    self.stats.add("ras_mispredictions")
-                    mispredicted = True
-                    self.stalled_on = i
-                    if self.observer is not None:
-                        self.observer.on_mispredict(i, pc, "return")
-                if self.context_hook is not None:
-                    self.context_hook(pc, target)
-            ends_taken = not mispredicted
-            break
-
-        return FetchBlock(start, count, ends_taken=ends_taken, mispredicted=mispredicted)
-
-    return _patched(ReplayBPU, "_build_block", _build_block)
+def _inject_skewed_cursor():
+    """The conditional replay cursor starts one recording behind."""
+    # BUG: the first read wraps to the last recording (index -1), then
+    # every prediction is replayed one branch late.
+    return _after_replay_init(lambda source: setattr(source, "_cond_cursor", -1))
 
 
 _register(
-    Fault(
-        name="kernel-stale-branch-class",
-        description="replay path handles direct calls as plain jumps: no "
-        "RAS push, so return prediction replays stale addresses",
-        expected_invariants=("kernel-differential",),
-        inject=_inject_stale_branch_class,
-        workload="dc_call_01",
-    )
+    "kernel-skewed-cursor",
+    "replay cursor is skewed by one: every conditional branch receives "
+    "its predecessor's recorded prediction",
+    inject=_inject_skewed_cursor,
 )
 
 
-def _inject_skipped_event_boundary():
-    """Replay redirect skips the redirect-latency bubble."""
-    from repro.core.kernel.engine import ReplayBPU
+@contextlib.contextmanager
+def _inject_stale_branch_class() -> Iterator[None]:
+    """The recorder takes indirect calls for direct calls."""
+    record = stream_module.record_stream
 
-    def redirect(self, cycle):
-        if self.stalled_on is None:
-            raise RuntimeError("redirect without a stalled branch")
-        self.stalled_on = None
-        # BUG: resume_cycle is not advanced — the misprediction-resolution
-        # event boundary is skipped and fetch resumes with zero bubble.
+    def record_stream(trace, config):
+        stream = record(trace, config)
+        classes = [c for c in trace.branch_classes.tolist() if c in INDIRECT_CLASSES]
+        # BUG: stale branch class — a CALL_INDIRECT is recorded with a
+        # direct call's outcome (static target, never mispredicted).
+        stream.indirect_mispredicts = [
+            mispredicted and branch_class != BranchClass.CALL_INDIRECT
+            for mispredicted, branch_class in zip(stream.indirect_mispredicts, classes)
+        ]
+        return stream
 
-    return _patched(ReplayBPU, "redirect", redirect)
+    # A private stream cache, so no other run replays the bad recording.
+    with _patched(stream_module, "record_stream", record_stream), _patched(
+        stream_module, "_CACHE", weakref.WeakKeyDictionary()
+    ):
+        yield
 
 
 _register(
-    Fault(
-        name="kernel-skipped-event-boundary",
-        description="replay redirect drops the resume-cycle bubble: fetch "
-        "restarts instantly after every misprediction",
-        expected_invariants=("kernel-differential",),
-        inject=_inject_skipped_event_boundary,
-    )
+    "kernel-stale-branch-class",
+    "recorder treats indirect calls as direct calls: their target "
+    "mispredictions never reach the replay",
+    inject=_inject_stale_branch_class,
+    workload="dc_call_01",
 )
 
 
@@ -270,42 +135,10 @@ _register(
 
 
 def run_kernel_fault(name: str) -> FaultResult:
-    """Inject one kernel fault and run the differential oracle.
-
-    A catch means :class:`SimCheckError` fired with the
-    ``kernel-differential`` invariant; a run that crashes some other way,
-    or completes with identical results, is a miss.
-    """
+    """Inject one kernel fault and run the differential oracle on it."""
     fault = KERNEL_FAULTS[name]
-    trace = load_workload(fault.workload, fault.n_instructions).trace
-    with fault.inject():
-        try:
-            kernel_differential(trace, fault.config, name=fault.workload)
-        except SimCheckError as error:
-            expected = error.invariant in fault.expected_invariants
-            return FaultResult(
-                fault=name,
-                caught=expected,
-                invariant=error.invariant,
-                cycle=error.cycle,
-                detail=str(error)
-                if expected
-                else f"fired unexpected invariant: {error}",
-            )
-        except RuntimeError as error:
-            return FaultResult(
-                fault=name,
-                caught=False,
-                invariant=None,
-                cycle=None,
-                detail=f"run died without the oracle firing: {error}",
-            )
-    return FaultResult(
-        fault=name,
-        caught=False,
-        invariant=None,
-        cycle=None,
-        detail="differential oracle saw identical results — fault undetected",
+    return run_injected(
+        fault, lambda trace: kernel_differential(trace, fault.config, fault.workload)
     )
 
 

@@ -4,8 +4,9 @@ The replay kernel (:mod:`repro.core.kernel`) promises bit-identical
 results to the interpreter.  This file holds the committed enforcement:
 unit tests for the precomputed columns and the recorded prediction
 stream, the kernel-vs-interpreter differential over the pinned perf
-suite, the dc_* slice and the config variants, and the fallback/routing
-contract for ``REPRO_SIM_KERNEL``.
+suite, the dc_* slice and the config variants, and the engine-selection
+contract: ``REPRO_SIM_KERNEL`` alone picks the prediction source, and
+checked or traced runs stay on the kernel.
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from repro.core.kernel import (
     build_columns,
     get_columns,
     get_stream,
-    kernel_applicable,
+    kernel_applicability,
     kernel_enabled,
     record_stream,
 )
@@ -74,13 +75,6 @@ class TestColumns:
                 latency = backend.simple_latency
             assert columns.latency[i] == latency
             assert columns.distance[i] == 1 + (h >> 4) % backend.dep_window
-
-    def test_lines_column(self):
-        trace = build_branchy_trace()
-        config = SimConfig()
-        columns = build_columns(trace, config)
-        line_size = config.hierarchy.l1i.line_size
-        assert columns.lines == [int(pc) // line_size for pc in trace.pcs]
 
     def test_cache_reuses_per_trace_and_config(self):
         trace = load_workload("int_02", 1_000).trace
@@ -173,39 +167,39 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# Fallback + routing contract
+# Engine selection: one Simulator, two prediction sources
 # ----------------------------------------------------------------------
 
 
 class TestGating:
     def test_kernel_applicable_truth_table(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CHECK", raising=False)
-        monkeypatch.delenv("REPRO_SIM_TRACE", raising=False)
-        assert kernel_applicable(None, None)
-        assert kernel_applicable(False, False)
-        assert not kernel_applicable(True, None)
-        assert not kernel_applicable(None, True)
+        """Only REPRO_SIM_KERNEL selects; an armed checker/observer does not."""
         monkeypatch.setenv("REPRO_SIM_CHECK", "1")
-        assert not kernel_applicable(None, None)
-        assert kernel_applicable(False, None)
-        monkeypatch.delenv("REPRO_SIM_CHECK")
         monkeypatch.setenv("REPRO_SIM_TRACE", "1")
-        assert not kernel_applicable(None, None)
-        assert kernel_applicable(None, False)
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        assert kernel_applicability(None, None) == (True, None)
+        assert kernel_applicability(True, True) == (True, None)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
+        assert kernel_applicability(None, None) == (False, "REPRO_SIM_KERNEL=0")
 
-    def test_checker_forces_interpreter_components(self):
+    def test_checker_keeps_kernel_components(self):
         trace = load_workload("int_02", 1_000).trace
-        sim = KernelSimulator(trace, SimConfig(), check=True)
-        assert not sim.kernel_active
-        assert type(sim.bpu).__name__ == "BPU"
-        assert type(sim.backend).__name__ == "Backend"
-        sim.run()  # invariants armed, interpreter path, must stay green
+        sim = KernelSimulator(trace, SimConfig(), check=True, observe=True)
+        assert sim.kernel_active and sim.engine == "kernel"
+        assert sim.kernel_fallback_reason is None
+        assert type(sim.bpu.source).__name__ == "ReplaySource"
+        assert sim.checker is not None and sim.observer is not None
+        result = sim.run()  # invariants armed on the kernel, must stay green
+        reference = Simulator(
+            trace, SimConfig(), check=True, observe=True, kernel=False
+        ).run()
+        assert result.to_dict() == reference.to_dict()
 
-    def test_observer_fallback_is_bit_identical(self):
+    def test_observer_on_kernel_is_bit_identical(self):
         trace = load_workload("int_02", 1_500).trace
         reference = simulate(trace, SimConfig(), observe=True, kernel=False)
-        fallback = simulate(trace, SimConfig(), observe=True, kernel=True)
-        assert reference.to_dict() == fallback.to_dict()
+        kernel = simulate(trace, SimConfig(), observe=True, kernel=True)
+        assert reference.to_dict() == kernel.to_dict()
 
     def test_kernel_enabled_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
@@ -220,20 +214,26 @@ class TestGating:
     def test_simulate_routes_by_env(self, monkeypatch):
         trace = load_workload("fp_01", 1_500).trace
         monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
+        assert not Simulator(trace, SimConfig()).kernel_active
         interp = simulate(trace, SimConfig())
         monkeypatch.setenv("REPRO_SIM_KERNEL", "1")
+        assert Simulator(trace, SimConfig()).kernel_active
         kernel = simulate(trace, SimConfig())
         assert interp.to_dict() == kernel.to_dict()
 
     def test_kernel_components_are_swapped(self):
+        """Only the prediction source differs between the two engines."""
         trace = load_workload("fp_01", 1_000).trace
-        sim = KernelSimulator(trace, SimConfig(), check=False, observe=False)
-        assert sim.kernel_active
-        assert type(sim.bpu).__name__ == "ReplayBPU"
-        assert type(sim.backend).__name__ == "KernelBackend"
+        kernel = KernelSimulator(trace, SimConfig())
+        interp = Simulator(trace, SimConfig(), kernel=False)
+        assert type(kernel.bpu.source).__name__ == "ReplaySource"
+        assert type(interp.bpu.source).__name__ == "LiveSource"
+        assert type(kernel.bpu) is type(interp.bpu)
+        assert type(kernel.backend) is type(interp.backend)
 
     def test_plain_simulator_untouched(self):
+        """The interpreter walks every instruction: its spans never jump."""
         trace = load_workload("fp_01", 1_000).trace
-        sim = Simulator(trace, SimConfig())
-        assert type(sim.bpu).__name__ == "BPU"
-        assert type(sim.backend).__name__ == "Backend"
+        sim = Simulator(trace, SimConfig(), kernel=False)
+        assert not sim.kernel_active and sim.engine == "interpreter"
+        assert list(sim.bpu.source.spans) == list(range(len(trace)))

@@ -3,23 +3,35 @@
 The kernel-vs-interpreter differential oracle is the only committed
 defence against a replay bug producing silently wrong (but plausible)
 results.  This suite injects the registered kernel faults — span
-off-by-one, stale branch class, skipped event boundary — and asserts
-the oracle catches every one with the ``kernel-differential`` invariant,
-mirroring ``test_verify_faults.py`` for the sanitizer.
+off-by-one, skewed replay cursor, stale branch class in the recorder —
+and asserts the oracle catches every one with the
+``kernel-differential`` invariant, mirroring ``test_verify_faults.py``
+for the sanitizer.
 """
 
 import pytest
 
-from repro.core.kernel.engine import ReplayBPU
+from repro.core.backend import Backend
+from repro.core.kernel import stream as stream_module
+from repro.frontend.bpu import BPU, LiveSource, ReplaySource
 from repro.verify.kernel_diff import KERNEL_DIFFERENTIAL
 from repro.verify.kernel_faults import KERNEL_FAULTS, run_kernel_fault
+
+
+def _class_methods(*classes):
+    return {
+        (cls, name): value
+        for cls in classes
+        for name, value in vars(cls).items()
+        if callable(value)
+    }
 
 
 def test_registry_has_the_three_kernel_faults():
     assert set(KERNEL_FAULTS) >= {
         "kernel-span-off-by-one",
         "kernel-stale-branch-class",
-        "kernel-skipped-event-boundary",
+        "kernel-skewed-cursor",
     }
 
 
@@ -36,22 +48,42 @@ def test_kernel_fault_is_caught(name):
 
 
 def test_patches_are_restored_after_runs():
-    original_build = ReplayBPU._build_block
-    original_redirect = ReplayBPU.redirect
+    originals = _class_methods(ReplaySource)
+    record, cache = stream_module.record_stream, stream_module._CACHE
     for name in KERNEL_FAULTS:
         run_kernel_fault(name)
-    assert ReplayBPU._build_block is original_build
-    assert ReplayBPU.redirect is original_redirect
+    assert _class_methods(ReplaySource) == originals
+    assert stream_module.record_stream is record
+    assert stream_module._CACHE is cache
 
 
 def test_faults_only_patch_the_replay_class():
     """The interpreter reference must stay clean, or the differential
-    would compare one bug against itself."""
-    from repro.frontend.bpu import BPU
-
-    original_build = BPU._build_block
-    original_redirect = BPU.redirect
+    would compare one bug against itself: while any kernel fault is
+    injected, BPU, the live source and Backend are unpatched."""
+    originals = _class_methods(BPU, LiveSource, Backend)
     for fault in KERNEL_FAULTS.values():
         with fault.inject():
-            assert BPU._build_block is original_build
-            assert BPU.redirect is original_redirect
+            assert _class_methods(BPU, LiveSource, Backend) == originals
+
+
+def test_cursor_desync_is_reported_missed(monkeypatch):
+    """A replay cursor running off its recording is a miss, not a crash."""
+    from repro.verify import kernel_faults
+    from repro.verify.faults import Fault
+
+    def desync():
+        return kernel_faults._after_replay_init(
+            lambda source: setattr(source, "_indirect_cursor", 10**9)
+        )
+
+    fault = Fault(
+        name="kernel-test-desync",
+        description="indirect cursor starts past the recording",
+        expected_invariants=(KERNEL_DIFFERENTIAL,),
+        inject=desync,
+    )
+    monkeypatch.setitem(KERNEL_FAULTS, fault.name, fault)
+    outcome = run_kernel_fault(fault.name)
+    assert not outcome.caught
+    assert "IndexError" in outcome.detail

@@ -68,7 +68,9 @@ class TestKernelSkipIntervalMatrix:
         analysis reads component state the kernel claims not to perturb."""
         trace = _random_trace(seed, 0.3, 0.1)
         config = SimConfig()
-        interp = Simulator(trace, config, check=False, observe=False, idle_skip=True)
+        interp = Simulator(
+            trace, config, check=False, observe=False, idle_skip=True, kernel=False
+        )
         interp.run()
         kernel = KernelSimulator(
             trace, config, check=False, observe=False, idle_skip=True
@@ -83,20 +85,27 @@ class TestKernelSkipIntervalMatrix:
     @settings(deadline=None, max_examples=4)
     @given(seed=st.integers(0, 10_000), h2p=st.floats(0.0, 0.3))
     def test_taxonomy_partition_identical(self, seed, h2p):
-        """With the observer on, the kernel falls back to the interpreter
-        — the stall-taxonomy partition must be identical whatever
-        REPRO_SIM_KERNEL says, and must still cover every cycle."""
+        """With the observer on, the run stays on the kernel — the
+        stall-taxonomy partition and the (cycle, kind, pc) event stream
+        must be identical to the interpreter's, and the partition must
+        still cover every cycle."""
         trace = _random_trace(seed, 0.2, h2p)
         config = SimConfig()
         taxonomies = []
+        streams = []
         for kernel in (False, True):
-            sim_cls = KernelSimulator if kernel else Simulator
-            sim = sim_cls(trace, config, observe=True)
+            sim = Simulator(trace, config, observe=True, kernel=kernel)
+            assert sim.kernel_active is kernel
             result = sim.run()
             taxonomy = sim.observer.taxonomy
             taxonomy.check_partition(result.cycles, name=f"kernel={kernel}")
             taxonomies.append(taxonomy.as_dict())
+            streams.append(
+                [(event.cycle, event.kind, event.pc) for event in sim.observer.events]
+            )
         assert taxonomies[0] == taxonomies[1]
+        assert streams[0] == streams[1]
+        assert streams[0]
 
     @settings(deadline=None, max_examples=4)
     @given(

@@ -11,11 +11,10 @@ Four layers, bottom-up:
   (client.run → serve.request → sched.job → worker.job →
   runner.simulate), a crashed worker dumps a flight-recorder artifact
   containing the job's final events, streamed interval/taxonomy events
-  are bit-identical to a local observer run even when the worker falls
-  back from the replay kernel to the interpreter, and the
-  ``--metrics-port`` endpoint scrapes over real HTTP;
+  are bit-identical to a local observer run on the replay kernel, and
+  the ``--metrics-port`` endpoint scrapes over real HTTP;
 * CLI — ``repro top``, ``repro cache stats`` lifetime rates and
-  ``--json``, and the ``repro metrics`` engine/fallback surface.
+  ``--json``, and the ``repro metrics`` engine line.
 
 Server tests reuse the :mod:`tests.test_serve` harness idioms: thread
 mode on a real localhost socket, sync tests driving :func:`run_async`.
@@ -24,6 +23,7 @@ mode on a real localhost socket, sync tests driving :func:`run_async`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import threading
@@ -32,7 +32,6 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 import repro.analysis.runner as runner
-import repro.core.kernel.engine as kernel_engine
 import repro.serve.scheduler as scheduler_mod
 from repro.cli import main
 from repro.core import SimConfig
@@ -436,8 +435,9 @@ class TestBitIdentity:
                 telemetry.reset()
 
     def test_interpreter_results_identical_on_vs_off(self, monkeypatch):
-        off = self._run(Simulator, None, monkeypatch)
-        on = self._run(Simulator, "1", monkeypatch)
+        interpreter = functools.partial(Simulator, kernel=False)
+        off = self._run(interpreter, None, monkeypatch)
+        on = self._run(interpreter, "1", monkeypatch)
         assert off == on
 
     def test_kernel_engine_results_identical_on_vs_off(self, monkeypatch):
@@ -557,7 +557,7 @@ class TestCrashDump:
 
 # ---------------------------------------------------------------------------
 # satellite: streamed telemetry is bit-identical to a local observer run,
-# including when the worker falls back from the replay kernel
+# with the observer armed on the replay kernel
 
 
 class TestStreamedTelemetryBitIdentity:
@@ -575,21 +575,22 @@ class TestStreamedTelemetryBitIdentity:
             for event in reply.events
         ]
 
-        # The served worker ran KernelSimulator with the observer armed:
-        # the kernel itself fell back to the interpreter mid-suite and
-        # said so on the labeled counter.
-        fallbacks = telemetry.registry().value(
-            "repro_kernel_fallback_total", reason="observer-armed"
-        )
-        assert fallbacks is not None and fallbacks >= 1
+        # The served worker ran with the observer armed and stayed on the
+        # replay kernel: there is no fallback counter to record.
+        registry = telemetry.registry()
+        assert registry.value("repro_kernel_runs_total") >= 1
+        assert "repro_kernel_fallback_total" not in {
+            metric["name"] for metric in registry.snapshot()["metrics"]
+        }
 
-        # A local observer run must stream the exact same numbers.
+        # A local observer run on the kernel must stream the exact same
+        # numbers.
         spec = load_workload("fp_01", N_INSTRUCTIONS)
         sim = KernelSimulator(
             spec.trace, SimConfig(), name="fp_01", observe=True
         )
-        assert sim.kernel_active is False
-        assert sim.kernel_fallback_reason == "observer-armed"
+        assert sim.kernel_active is True
+        assert sim.kernel_fallback_reason is None
         result = sim.run()
         key = runner.cache_key("fp_01", N_INSTRUCTIONS, SimConfig())
         assert sim.observer is not None
@@ -611,41 +612,38 @@ class TestStreamedTelemetryBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# satellite: kernel fallback is loud (counter + one-time warning)
+# satellite: no kernel fallback — armed runs stay on the kernel, and the
+# CLI names the engine
 
 
 class TestKernelFallbackSurface:
-    def test_counter_counts_every_run_warning_fires_once(
-        self, telemetry_on, monkeypatch, caplog
-    ):
-        monkeypatch.setattr(kernel_engine, "_WARNED_REASONS", set())
+    def test_armed_runs_stay_on_the_kernel(self, telemetry_on, caplog):
         spec = load_workload("fp_01", N_INSTRUCTIONS)
-        with caplog.at_level(logging.WARNING, logger=kernel_engine.__name__):
+        reference = Simulator(
+            spec.trace, SimConfig(), name="fp_01", observe=True, kernel=False
+        ).run()
+        with caplog.at_level(logging.WARNING):
             for _ in range(3):
-                KernelSimulator(
-                    spec.trace, SimConfig(), name="fp_01", observe=True
+                sim = KernelSimulator(
+                    spec.trace, SimConfig(), name="fp_01", check=True, observe=True
                 )
-        warned = [
-            record
-            for record in caplog.records
-            if "replay kernel inactive" in record.message
-        ]
-        assert len(warned) == 1
-        assert "observer-armed" in warned[0].getMessage()
-        assert (
-            telemetry.registry().value(
-                "repro_kernel_fallback_total", reason="observer-armed"
-            )
-            == 3
-        )
+                assert sim.kernel_active
+                assert sim.run().to_dict() == reference.to_dict()
+        assert not [r for r in caplog.records if "kernel" in r.getMessage()]
+        registry = telemetry.registry()
+        assert registry.value("repro_kernel_runs_total") == 3
+        assert "repro_kernel_fallback_total" not in {
+            metric["name"] for metric in registry.snapshot()["metrics"]
+        }
 
-    def test_repro_metrics_names_the_engine(self, fresh_cache, capsys):
+    def test_repro_metrics_names_the_engine(self, fresh_cache, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
         assert (
             main(["metrics", "fp_01", "--instructions", str(N_INSTRUCTIONS)])
             == 0
         )
         out = capsys.readouterr().out
-        assert "engine: interpreter (observer-armed)" in out
+        assert "engine: kernel" in out
 
     def test_repro_metrics_respects_kernel_kill_switch(
         self, fresh_cache, monkeypatch, capsys
@@ -655,7 +653,7 @@ class TestKernelFallbackSurface:
             main(["metrics", "fp_01", "--instructions", str(N_INSTRUCTIONS)])
             == 0
         )
-        assert "engine: interpreter (REPRO_SIM_KERNEL=0)" in capsys.readouterr().out
+        assert "engine: interpreter" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,20 @@ def test_registry_has_at_least_five_faults():
     assert len(FAULTS) >= 5
 
 
-@pytest.mark.parametrize("name", sorted(FAULTS))
-def test_fault_is_caught(name):
-    outcome = run_fault(name)
+@pytest.mark.parametrize(
+    "name,kernel",
+    [
+        param
+        for name in sorted(FAULTS)
+        for param in (
+            pytest.param(name, True, id=name),
+            pytest.param(name, False, id=f"{name}-interpreter"),
+        )
+    ],
+)
+def test_fault_is_caught(name, kernel):
+    """Every fault is caught by its invariant on both engines."""
+    outcome = run_fault(name, kernel=kernel)
     assert outcome.caught, outcome.render()
     assert outcome.invariant in FAULTS[name].expected_invariants
 
