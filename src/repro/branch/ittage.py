@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.history import GlobalHistory, PathHistory
+from repro.common.history import GlobalHistory, HistoryState, PathHistory
+
+#: :meth:`ITTAGEHistories.snapshot`: GHR and path.
+ITTAGEState = tuple[HistoryState, int]
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,15 @@ class ITTAGEHistories:
     def copy_from(self, other: "ITTAGEHistories") -> None:
         self.global_history.copy_from(other.global_history)
         self.path.restore(other.path.snapshot())
+
+    def snapshot(self) -> ITTAGEState:
+        """GHR and path state, for :meth:`restore`."""
+        return self.global_history.snapshot(), self.path.value
+
+    def restore(self, state: ITTAGEState) -> None:
+        history, path = state
+        self.global_history.restore(history)
+        self.path.value = path
 
 
 class ITTAGEPrediction:

@@ -14,6 +14,8 @@ divergent history without duplicating table state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.common.history import FoldedHistory, GlobalHistory
 
 #: History lengths of the corrector tables (0 = bias table, PC-indexed).
@@ -43,7 +45,7 @@ class SCPrediction:
 
     __slots__ = ("lsum", "taken", "indices", "used")
 
-    def __init__(self, lsum: int, taken: bool, indices: list[int]) -> None:
+    def __init__(self, lsum: int, taken: bool, indices: Sequence[int]) -> None:
         self.lsum = lsum
         self.taken = taken
         self.indices = indices

@@ -18,6 +18,7 @@ explicitly:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.branch.bimodal import BimodalPredictor
@@ -150,8 +151,10 @@ class TagePrediction:
         self.bimodal_ctr = 0
         self.alt_taken = False
         self.provider_newly_allocated = False
-        self.indices: list[int] = []
-        self.tags: list[int] = []
+        #: Table indices and tags update() trains; a recorded stream that
+        #: has trained already keeps them empty.
+        self.indices: Sequence[int] = []
+        self.tags: Sequence[int] = []
 
     @property
     def provider_ctr(self) -> int:

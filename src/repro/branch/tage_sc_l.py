@@ -23,6 +23,10 @@ from enum import Enum
 from repro.branch.loop import LoopPredictor, LoopPrediction
 from repro.branch.sc import SCHistories, SCPrediction, StatisticalCorrector
 from repro.branch.tage import TAGE, TageConfig, TageHistories, TagePrediction
+from repro.common.history import HistoryState
+
+#: :meth:`TageScLHistories.snapshot`: TAGE GHR, TAGE path, SC GHR.
+TageScLState = tuple[HistoryState, int, HistoryState]
 
 
 class Provider(Enum):
@@ -77,6 +81,22 @@ class TageScLHistories:
     def copy_from(self, other: "TageScLHistories") -> None:
         self.tage.copy_from(other.tage)
         self.sc.copy_from(other.sc)
+
+    def snapshot(self) -> TageScLState:
+        """TAGE GHR, TAGE path and SC GHR state, for :meth:`restore`."""
+        tage = self.tage
+        return (
+            tage.global_history.snapshot(),
+            tage.path.value,
+            self.sc.global_history.snapshot(),
+        )
+
+    def restore(self, state: TageScLState) -> None:
+        """Adopt a :meth:`snapshot` of a bundle with the same geometry."""
+        tage_history, tage_path, sc_history = state
+        self.tage.global_history.restore(tage_history)
+        self.tage.path.value = tage_path
+        self.sc.global_history.restore(sc_history)
 
 
 class TageScLPrediction:
@@ -188,10 +208,18 @@ class TageScL:
         direction (the pipeline repairs history on mispredictions, so the
         committed history equals the correct-path history).
         """
+        self.train(prediction, taken)
+        self.histories.push(prediction.pc, taken)
+
+    def train(self, prediction: TageScLPrediction, taken: bool) -> None:
+        """Train the loop, SC and TAGE tables only; no history moves.
+
+        Reads the table indices and tags ``prediction`` carries, so a
+        recorded prediction trains exactly like a fresh one.
+        """
         self.loop.update(prediction.pc, taken, prediction.loop)
         self.sc.update(prediction.sc, taken)
         self.tage.update(prediction.tage, taken)
-        self.histories.push(prediction.pc, taken)
 
     def push_unconditional(self, pc: int) -> None:
         """Insert an always-taken (unconditional) branch into the history."""

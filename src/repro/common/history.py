@@ -16,6 +16,10 @@ therefore support cheap snapshot/restore.
 from __future__ import annotations
 
 
+#: :meth:`GlobalHistory.snapshot`: raw bits plus every folded value.
+HistoryState = tuple[int, tuple[int, ...]]
+
+
 class FoldedHistory:
     """Incrementally folded view of the most recent ``length`` history bits.
 
@@ -85,9 +89,17 @@ class GlobalHistory:
         self._capacity_mask = (1 << capacity) - 1
 
     def add_folded(self, length: int, width: int) -> FoldedHistory:
-        """Register and return a folded view over the newest ``length`` bits."""
+        """Register and return a folded view over the newest ``length`` bits.
+
+        A (length, width) pair registered twice returns the first view:
+        identical folds hold identical values, so :meth:`push` updates
+        each distinct geometry once.
+        """
         if length > self.capacity:
             raise ValueError(f"fold length {length} exceeds capacity {self.capacity}")
+        for fold in self._folds:
+            if fold.length == length and fold.width == width:
+                return fold
         fold = FoldedHistory(length, width)
         self._folds.append(fold)
         self._fold_params.append(
@@ -123,11 +135,11 @@ class GlobalHistory:
             raise ValueError(f"requested {length} bits from {self.capacity}-bit history")
         return self._bits & ((1 << length) - 1)
 
-    def snapshot(self) -> tuple[int, tuple[int, ...]]:
+    def snapshot(self) -> HistoryState:
         """Capture raw bits and all folded values for later :meth:`restore`."""
-        return self._bits, tuple(fold.value for fold in self._folds)
+        return self._bits, tuple([fold.value for fold in self._folds])
 
-    def restore(self, state: tuple[int, tuple[int, ...]]) -> None:
+    def restore(self, state: HistoryState) -> None:
         bits, fold_values = state
         if len(fold_values) != len(self._folds):
             raise ValueError("snapshot does not match registered folds")

@@ -6,7 +6,8 @@ per-cycle hot path over :class:`~repro.isa.trace.Trace`'s numpy columns:
 * :mod:`~repro.core.kernel.columns` — per-trace precomputed columns
   (backend latency/dependency hashes, branch spans);
 * :mod:`~repro.core.kernel.stream` — the recorded TAGE-SC-L/ITTAGE
-  prediction stream (one pre-pass per trace × predictor config);
+  prediction stream (one pre-pass per trace × predictor config) and
+  UCP's recorded Alt-BP/Alt-Ind predicted-path training (one per trace);
 * :mod:`~repro.core.kernel.engine` — :class:`KernelSimulator`, the
   :class:`~repro.core.pipeline.Simulator` with the kernel forced on: its
   BPU replays the stream and jumps branch spans, bit-identical by

@@ -194,7 +194,7 @@ class Simulator:
         source = (
             ReplaySource(get_stream(trace, config), columns.next_branch)
             if self.kernel_active
-            else LiveSource(config, len(trace))
+            else LiveSource.for_config(config, len(trace))
         )
         self.bpu = BPU(
             config,
@@ -226,7 +226,6 @@ class Simulator:
 
             self.ucp = UCPEngine(config, trace, self)
             self.bpu.uncond_hook = self.ucp.on_unconditional
-            self.bpu.indirect_hook = self.ucp.on_indirect
         self.bpu.branch_hook = self._on_conditional
         if isinstance(self.prefetcher, DJoltPrefetcher):
             self.bpu.context_hook = self.prefetcher.update_context

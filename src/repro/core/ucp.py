@@ -24,6 +24,15 @@ The walk stops per Section IV-E: a 6-bit-weighted saturating counter
 (Table I weights, threshold ≈ 500), infinite-weight events (BTB miss,
 indirect without Alt-Ind, unknown code), a no-branch instruction guard,
 or a new H2P trigger (which flushes the Alt-FTQ and restarts).
+
+The predicted-path training is a :class:`~repro.frontend.bpu.LiveSource`
+over the Alt geometry, fed by the BPU's hooks once per branch in trace
+order.  That makes it timing-independent, so on the replay kernel an
+:class:`~repro.core.kernel.stream.AltPathReplay` stands in for it: the
+Alt tables train from recorded predictions, no predicted-path predict or
+history push runs, and a walk restores its starting histories from the
+recorded state instead of copying them.  Walk-time predictions and the
+perceptron confidence side-predictor stay live on both engines.
 """
 
 from __future__ import annotations
@@ -37,10 +46,15 @@ from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage_sc_l import TageScL, TageScLConfig
 from repro.caches.uopcache import REGION_BYTES, UopCacheEntry
 from repro.core.configs import SimConfig
+from repro.core.kernel.stream import AltPathReplay, get_alt_record
 from repro.core.weights import condition_weight
-from repro.frontend.bpu import BranchEvent
+from repro.frontend.bpu import BranchEvent, LiveSource
 from repro.isa.instruction import BranchClass
 from repro.isa.trace import Trace
+
+#: Alt-BP and Alt-Ind geometries (paper Section IV-F: 8KB and 4KB class).
+ALT_BP_CONFIG = TageScLConfig.small()
+ALT_IND_CONFIG = ITTAGEConfig.small()
 
 # Raw branch-class ints for the walk loop (one comparison per walked
 # instruction; IntEnum member access is slow at that rate).
@@ -79,13 +93,24 @@ class UCPEngine:
         self.sim = simulator
         self.stats = simulator.stats
 
-        self.alt_bp = TageScL(TageScLConfig.small())
+        self.alt_bp = TageScL(ALT_BP_CONFIG)
         #: The Alt-BP default histories track the predicted path; this
         #: second bundle diverges along the alternate path.
         self.alt_histories = self.alt_bp.make_histories()
-        self.alt_ind = ITTAGE(ITTAGEConfig.small()) if self.ucp.use_indirect else None
+        self.alt_ind = ITTAGE(ALT_IND_CONFIG) if self.ucp.use_indirect else None
         self.alt_ind_histories = self.alt_ind.make_histories() if self.alt_ind else None
+        #: Walk branches not yet pushed into ``alt_ind_histories``: only an
+        #: Alt-Ind predict reads them, and few walks reach an indirect.
+        self._alt_ind_pending: list[tuple[int, bool]] = []
         self.alt_ras = ReturnAddressStack(self.ucp.alt_ras_entries)
+        #: Predicted-path training: replayed on the kernel, live otherwise.
+        self._replay: AltPathReplay | None = None
+        self._training: LiveSource | AltPathReplay
+        if simulator.kernel_active:
+            record = get_alt_record(trace, ALT_BP_CONFIG, ALT_IND_CONFIG)
+            self._training = self._replay = AltPathReplay(record, self.alt_bp, self.alt_ind)
+        else:
+            self._training = LiveSource(self.alt_bp, self.alt_ind)
 
         # Walk state.
         self.active = False
@@ -96,7 +121,9 @@ class UCPEngine:
         self._threshold = float(self.ucp.stop_threshold)
         self._no_branch_run = 0
         self._walk_block_len = 0  # mirror of the BPU fetch-block grouping
-        self._open: list[tuple[int, bool, bool, int]] = []  # building entry
+        # The entry being built: start PC and µ-op count (0 = none open).
+        self._open_start = 0
+        self._open_len = 0
         self._open_branches = 0  # branches in the open entry (hot counter)
         self._btb_delay = 0  # 3-bit BTB bank-conflict counter
         # Hot-path constants for the walk loop.
@@ -112,6 +139,7 @@ class UCPEngine:
         #: repro.observe event bus; None keeps every emit a pointer test.
         self.observer = None
 
+        self._conf_perceptron: HashedPerceptron | None = None
         if self.ucp.confidence == "ucp":
             self._is_h2p = ucp_conf_is_h2p
         elif self.ucp.confidence == "tage":
@@ -134,14 +162,12 @@ class UCPEngine:
 
     def on_conditional(self, event: BranchEvent, cycle: int) -> None:
         """Train Alt-BP and, on an H2P prediction, start a new walk."""
-        if self.ucp.confidence == "perceptron":
-            conf_pred = self._conf_perceptron.predict(event.pc)
+        perceptron = self._conf_perceptron
+        if perceptron is not None:
+            conf_pred = perceptron.predict(event.pc)
             self._last_perceptron_h2p = perceptron_is_h2p(conf_pred)
-            self._conf_perceptron.update(conf_pred, event.actual_taken)
-        alt_pred = self.alt_bp.predict(event.pc)
-        self.alt_bp.update(alt_pred, event.actual_taken)
-        if self.alt_ind is not None:
-            self.alt_ind.push_history(event.pc, event.actual_taken)
+            perceptron.update(conf_pred, event.actual_taken)
+        self._training.conditional(event.pc, event.actual_taken)
 
         if not self._is_h2p(event.prediction):
             return
@@ -152,18 +178,12 @@ class UCPEngine:
             return
         self._start_walk(event, alt_start)
 
-    def on_unconditional(self, pc: int) -> None:
-        if self.ucp.confidence == "perceptron":
+    def on_unconditional(self, pc: int, branch_class: int, target: int) -> None:
+        """Keep the predicted-path histories in step; train Alt-Ind on an
+        indirect branch."""
+        if self._conf_perceptron is not None:
             self._conf_perceptron.push_unconditional(pc)
-        self.alt_bp.push_unconditional(pc)
-        if self.alt_ind is not None:
-            self.alt_ind.push_history(pc, True)
-
-    def on_indirect(self, pc: int, target: int) -> None:
-        if self.alt_ind is None:
-            return
-        pred = self.alt_ind.predict(pc)
-        self.alt_ind.update(pred, target)
+        self._training.unconditional(pc, branch_class, target)
 
     def on_resolution(self, index: int, cycle: int) -> None:
         """A mispredicted branch resolved (the pipeline now refills)."""
@@ -205,11 +225,14 @@ class UCPEngine:
 
         # Resynchronise the alternate history: predicted-path history plus
         # the H2P branch taken in the *opposite* direction.
-        self.alt_histories.copy_from(self.alt_bp.histories)
+        if self._replay is not None:
+            self._replay.restore(self.alt_histories, self.alt_ind_histories)
+        else:
+            self.alt_histories.copy_from(self.alt_bp.histories)
+            if self.alt_ind is not None:
+                self.alt_ind_histories.copy_from(self.alt_ind.histories)
         self.alt_histories.push(event.pc, not event.prediction.taken)
-        if self.alt_ind is not None:
-            self.alt_ind_histories.copy_from(self.alt_ind.histories)
-            self.alt_ind_histories.push(event.pc, not event.prediction.taken)
+        self._alt_ind_pending = [(event.pc, not event.prediction.taken)]
         self.alt_ras.copy_from(self.sim.bpu.ras)
 
     def _stop_walk(self, reason: str) -> None:
@@ -221,7 +244,7 @@ class UCPEngine:
 
     def _flush_pending_entry(self) -> None:
         """Queue whatever µ-ops are open as a final (short) entry."""
-        if self._open:
+        if self._open_len:
             self._close_entry(next_pc=0)
 
     # ------------------------------------------------------------------
@@ -380,6 +403,8 @@ class UCPEngine:
         get_class = self.sim.codemap.get_class
         alt_ftq = self.alt_ftq
         ftq_limit = self.ucp.alt_ftq_entries
+        no_branch_limit = self.ucp.max_instructions_without_branch
+        append_uop = self._append_uop
         for _step in range(self.ucp.walk_instructions_per_cycle):
             if not self.active:
                 return
@@ -398,17 +423,15 @@ class UCPEngine:
                 self._stop_walk("unknown_code")
                 return
             if branch_class == _NOT_BRANCH:
-                self._walk_straight(pc)
+                # A straight-line µ-op (inlined: most walked instructions).
+                self._no_branch_run += 1
+                append_uop(pc, False, False, pc + 4)
+                self._walk_pc = pc + 4
+                if self._no_branch_run >= no_branch_limit:
+                    self._stop_walk("no_branch_guard")
                 continue
             if not self._walk_branch(pc, branch_class, cycle):
                 return
-
-    def _walk_straight(self, pc: int) -> None:
-        self._no_branch_run += 1
-        self._append_uop(pc, is_branch=False, taken=False, next_pc=pc + 4)
-        self._walk_pc = pc + 4
-        if self._no_branch_run >= self.ucp.max_instructions_without_branch:
-            self._stop_walk("no_branch_guard")
 
     def _walk_branch(self, pc: int, branch_class: int, cycle: int) -> bool:
         """Handle one branch on the alternate path; False ends this cycle."""
@@ -433,7 +456,7 @@ class UCPEngine:
                     return False
             self.alt_histories.push(pc, taken)
             if self.alt_ind is not None:
-                self.alt_ind_histories.push(pc, taken)
+                self._alt_ind_pending.append((pc, taken))
             self._append_uop(pc, True, taken, target if taken else pc + 4)
             self._walk_pc = target if taken else pc + 4
             if self._stop_counter >= self._threshold:
@@ -454,7 +477,11 @@ class UCPEngine:
                 self._append_uop(pc, True, False, pc + 4)
                 self._stop_walk("indirect_no_predictor")
                 return False
-            ind_pred = self.alt_ind.predict(pc, histories=self.alt_ind_histories)
+            histories = self.alt_ind_histories
+            for pending_pc, pending_taken in self._alt_ind_pending:
+                histories.push(pending_pc, pending_taken)
+            self._alt_ind_pending.clear()
+            ind_pred = self.alt_ind.predict(pc, histories=histories)
             target = ind_pred.target
             self._stop_counter += 1
             if target is None:
@@ -474,7 +501,7 @@ class UCPEngine:
 
         self.alt_histories.push(pc, True)
         if self.alt_ind is not None:
-            self.alt_ind_histories.push(pc, True)
+            self._alt_ind_pending.append((pc, True))
         self._append_uop(pc, True, True, target)
         self._walk_pc = target
         if self._stop_counter >= self._threshold:
@@ -510,28 +537,27 @@ class UCPEngine:
     def _append_uop(self, pc: int, is_branch: bool, taken: bool, next_pc: int) -> None:
         """Group walked µ-ops exactly like the demand path's entries."""
         clasp = self._clasp
-        open_uops = self._open
-        if open_uops:
-            start_pc = open_uops[0][0]
-            expected = start_pc + 4 * len(open_uops)
+        if self._open_len:
+            start_pc = self._open_start
             region_end = (start_pc // REGION_BYTES + 1) * REGION_BYTES
             if (
-                pc != expected
+                pc != start_pc + 4 * self._open_len
                 or self._walk_block_len == 0  # new fetch-block boundary
                 or (not clasp and pc >= region_end)
                 or (is_branch and self._open_branches >= 2)
             ):
                 self._close_entry(next_pc=pc)
-                open_uops = self._open
-        open_uops.append((pc, is_branch, taken, next_pc))
+        if not self._open_len:
+            self._open_start = pc
+        self._open_len += 1
         if is_branch:
             self._open_branches += 1
         self._walk_block_len += 1
 
-        closes = (is_branch and taken) or len(open_uops) >= 8
+        closes = (is_branch and taken) or self._open_len >= 8
         if not clasp:
             closes = closes or (
-                pc + 4 >= (open_uops[0][0] // REGION_BYTES + 1) * REGION_BYTES
+                pc + 4 >= (self._open_start // REGION_BYTES + 1) * REGION_BYTES
             )
         if (is_branch and taken) or self._walk_block_len >= self._fetch_block_size:
             self._walk_block_len = 0
@@ -539,13 +565,11 @@ class UCPEngine:
             self._close_entry(next_pc=next_pc)
 
     def _close_entry(self, next_pc: int) -> None:
-        if not self._open:
+        if not self._open_len:
             return
-        start_pc = self._open[0][0]
-        entry = UopCacheEntry(
-            start_pc, len(self._open), next_pc, from_prefetch=True
-        )
-        self._open = []
+        start_pc = self._open_start
+        entry = UopCacheEntry(start_pc, self._open_len, next_pc, from_prefetch=True)
+        self._open_len = 0
         self._open_branches = 0
         pending = PendingEntry(entry, self.trigger_index, start_pc // 64)
         self.alt_ftq.append(pending)

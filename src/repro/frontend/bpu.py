@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.branch.btb import make_btb
-from repro.branch.ittage import ITTAGE
+from repro.branch.ittage import ITTAGE, ITTAGEPrediction
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage_sc_l import TageScL, TageScLPrediction
 from repro.common.stats import StatBlock
@@ -77,35 +77,59 @@ class BranchEvent:
 
 
 class LiveSource:
-    """Runs TAGE-SC-L + ITTAGE as the BPU reaches each branch.
+    """Runs a TAGE-SC-L and an optional ITTAGE as each branch arrives.
 
-    The one place the predictor call order is written:
-    :func:`repro.core.kernel.stream.record_stream` records by driving it.
+    The one place the predictor call order is written.  The BPU's source
+    runs the baseline pair; UCP trains its Alt-BP/Alt-Ind pair on the
+    predicted path through a second instance; the recorders in
+    :mod:`repro.core.kernel.stream` record by driving one.
     """
 
-    def __init__(self, config: SimConfig, n_instructions: int) -> None:
-        self.cond = TageScL(config.branch_predictor)
-        self.indirect = ITTAGE(config.indirect_predictor)
+    def __init__(
+        self, cond: TageScL, indirect: ITTAGE | None, n_instructions: int = 0
+    ) -> None:
+        self.cond = cond
+        self.indirect = indirect
         #: Span column that never jumps: the BPU walks every instruction.
         self.spans: Sequence[int] = range(n_instructions)
+
+    @classmethod
+    def for_config(cls, config: SimConfig, n_instructions: int) -> "LiveSource":
+        """The baseline predictor pair of ``config`` (the BPU's source)."""
+        return cls(
+            TageScL(config.branch_predictor),
+            ITTAGE(config.indirect_predictor),
+            n_instructions,
+        )
 
     def conditional(self, pc: int, taken: bool) -> TageScLPrediction:
         """TAGE-SC-L ``predict`` → ``update`` → ITTAGE ``push_history``."""
         prediction = self.cond.predict(pc)
         self.cond.update(prediction, taken)
-        self.indirect.push_history(pc, taken)
+        if self.indirect is not None:
+            self.indirect.push_history(pc, taken)
         return prediction
 
     def unconditional(self, pc: int, branch_class: int, target: int) -> bool:
+        """:meth:`unconditional_prediction`; True when ITTAGE missed the target."""
+        prediction = self.unconditional_prediction(pc, branch_class, target)
+        return prediction is not None and prediction.target != target
+
+    def unconditional_prediction(
+        self, pc: int, branch_class: int, target: int
+    ) -> ITTAGEPrediction | None:
         """Push both histories, then predict/train ITTAGE on an indirect
-        branch; True when ITTAGE missed the target."""
+        branch and return that prediction (None on any other branch)."""
         self.cond.push_unconditional(pc)
-        self.indirect.push_history(pc, True)
+        indirect = self.indirect
+        if indirect is None:
+            return None
+        indirect.push_history(pc, True)
         if branch_class not in INDIRECT_CLASSES:
-            return False
-        prediction = self.indirect.predict(pc)
-        self.indirect.update(prediction, target)
-        return prediction.target != target
+            return None
+        prediction = indirect.predict(pc)
+        indirect.update(prediction, target)
+        return prediction
 
 
 class ReplaySource:
@@ -157,7 +181,7 @@ class BPU:
         self._blocks_per_cycle = config.frontend.bpu_blocks_per_cycle
         self._fetch_block_size = config.frontend.fetch_block_size
         #: Where TAGE-SC-L / ITTAGE outcomes come from (live by default).
-        self.source = source if source is not None else LiveSource(config, len(trace))
+        self.source = source if source is not None else LiveSource.for_config(config, len(trace))
         self._spans = self.source.spans
         self._conditional = self.source.conditional
         self._unconditional = self.source.unconditional
@@ -174,11 +198,9 @@ class BPU:
         self.branch_hook: Callable[[BranchEvent, int], None] | None = None
         #: Called with (pc, target) on calls/returns (D-JOLT's context).
         self.context_hook: Callable[[int, int], None] | None = None
-        #: Called with (pc,) for every unconditional branch processed (UCP
-        #: keeps its Alt-BP/Alt-Ind predicted-path histories in sync).
-        self.uncond_hook: Callable[[int], None] | None = None
-        #: Called with (pc, target) for every indirect branch (Alt-Ind training).
-        self.indirect_hook: Callable[[int, int], None] | None = None
+        #: Called with (pc, branch_class, target) for every unconditional
+        #: branch processed (UCP trains Alt-BP/Alt-Ind on the predicted path).
+        self.uncond_hook: Callable[[int, int, int], None] | None = None
         #: BTB banks touched by demand lookups this cycle (UCP conflicts).
         self.btb_banks_used: set[int] = set()
         #: repro.observe event bus; None keeps every emit a pointer test.
@@ -252,7 +274,7 @@ class BPU:
             # Unconditional branches: always end the fetch block.
             target_wrong = self._unconditional(pc, branch_class, target)
             if self.uncond_hook is not None:
-                self.uncond_hook(pc)
+                self.uncond_hook(pc, branch_class, target)
             if branch_class == _UNCOND_DIRECT:
                 self._direct_target(pc, BranchClass.UNCOND_DIRECT, target, cycle)
             elif branch_class == _CALL_DIRECT:
@@ -364,8 +386,6 @@ class BPU:
             self.stalled_on = index
             if self.observer is not None:
                 self.observer.on_mispredict(index, pc, "indirect")
-        if self.indirect_hook is not None:
-            self.indirect_hook(pc, target)
         branch_class = BranchClass(self._classes[index])
         self.btb.update(pc, branch_class, target)
         return mispredicted

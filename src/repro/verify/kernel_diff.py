@@ -124,9 +124,18 @@ def kernel_differential(
 
 
 def _config_variants() -> dict[str, SimConfig]:
+    """Baseline, full UCP, and the UCP flavours whose replay differs: the
+    TAGE-Conf and perceptron triggers, no Alt-Ind, and UCP-TillL1I."""
     from repro.experiments.common import baseline_config, ucp_config
 
-    return {"base": baseline_config(), "ucp": ucp_config()}
+    return {
+        "base": baseline_config(),
+        "ucp": ucp_config(),
+        "ucp_tage_conf": ucp_config(confidence="tage"),
+        "ucp_perceptron": ucp_config(confidence="perceptron"),
+        "ucp_no_altind": ucp_config(use_indirect=False),
+        "ucp_tilll1i": ucp_config(till_l1i_only=True),
+    }
 
 
 #: The pinned perf suite plus the datacenter slice (ISSUE 8 scope).

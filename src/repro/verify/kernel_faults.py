@@ -4,12 +4,12 @@ The batched kernel's correctness story rests on the kernel-vs-interpreter
 differential oracle (:mod:`repro.verify.kernel_diff`).  This module
 proves the oracle's *sensitivity* the same way :mod:`repro.verify.faults`
 proves the sanitizer's: each fault breaks one seam only the kernel uses —
-the replay span column, the replay cursor, or the recorded prediction
-stream — and the harness asserts the differential fires with the
-``kernel-differential`` invariant.  ``BPU``, the live prediction source
-and ``Backend`` are never patched, so the interpreter reference stays
-clean and the oracle is the *only* thing standing between the bug and a
-silently wrong result.
+the replay span column, the replay cursor, the recorded prediction
+stream, or UCP's alternate-path replay — and the harness asserts the
+differential fires with the ``kernel-differential`` invariant.  ``BPU``,
+the live prediction source, ``UCPEngine`` and ``Backend`` are never
+patched, so the interpreter reference stays clean and the oracle is the
+*only* thing standing between the bug and a silently wrong result.
 
 Exposed through ``repro verify --inject`` / ``--list-faults`` alongside
 the core and service fault registries.
@@ -22,7 +22,9 @@ import weakref
 from collections.abc import Callable, Iterator
 from typing import Any
 
+from repro.core.configs import SimConfig, UCPConfig
 from repro.core.kernel import stream as stream_module
+from repro.core.kernel.stream import AltPathReplay
 from repro.frontend.bpu import INDIRECT_CLASSES, ReplaySource
 from repro.isa.instruction import BranchClass
 from repro.verify.faults import Fault, FaultResult, _patched, run_injected
@@ -126,6 +128,30 @@ _register(
     "mispredictions never reach the replay",
     inject=_inject_stale_branch_class,
     workload="dc_call_01",
+)
+
+
+def _inject_stale_alt_history():
+    """A walk starts from the previous conditional's recorded state."""
+
+    def restore(self, histories, indirect_histories):
+        # BUG: stale alternate history — the state recorded after
+        # conditional k-1 is restored, so the H2P branch that triggered
+        # the walk is missing from the alternate path's history.
+        k = self._cond_cursor - 2
+        histories.restore(self._cond_states[k])
+        if indirect_histories is not None:
+            indirect_histories.restore(self._indirect_states[k])
+
+    return _patched(AltPathReplay, "restore", restore)
+
+
+_register(
+    "kernel-stale-alt-history",
+    "UCP walk restores the alternate-path history recorded one "
+    "conditional branch early, dropping the triggering branch",
+    inject=_inject_stale_alt_history,
+    config=SimConfig(ucp=UCPConfig(enabled=True)),
 )
 
 

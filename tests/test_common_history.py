@@ -105,6 +105,19 @@ class TestGlobalHistory:
         main.push(False)
         assert alt.value(32) != main.value(32)
 
+    def test_identical_folds_share_one_view(self):
+        history = GlobalHistory(capacity=32)
+        index_fold = history.add_folded(20, 8)
+        tag_fold = history.add_folded(20, 8)
+        other = history.add_folded(20, 7)
+        assert tag_fold is index_fold and other is not index_fold
+        for i in range(30):
+            history.push(i % 3 == 0)
+        assert len(history.snapshot()[1]) == 2
+        assert index_fold.value == reference_fold(
+            [history.bit(i) for i in range(32)], 20, 8
+        )
+
     def test_copy_from_mismatched_geometry(self):
         main = GlobalHistory(capacity=32)
         other = GlobalHistory(capacity=16)

@@ -2,11 +2,12 @@
 
 The replay kernel (:mod:`repro.core.kernel`) promises bit-identical
 results to the interpreter.  This file holds the committed enforcement:
-unit tests for the precomputed columns and the recorded prediction
-stream, the kernel-vs-interpreter differential over the pinned perf
-suite, the dc_* slice and the config variants, and the engine-selection
-contract: ``REPRO_SIM_KERNEL`` alone picks the prediction source, and
-checked or traced runs stay on the kernel.
+unit tests for the precomputed columns, the recorded prediction
+stream and UCP's recorded alternate-path training, the
+kernel-vs-interpreter differential over the pinned perf suite, the dc_*
+slice and the config variants, and the engine-selection contract:
+``REPRO_SIM_KERNEL`` alone picks the prediction source, and checked or
+traced runs stay on the kernel.
 """
 
 from dataclasses import replace
@@ -23,9 +24,15 @@ from repro.core.kernel import (
     kernel_enabled,
     record_stream,
 )
+from repro.core.kernel.stream import get_alt_record, record_alt_path
 from repro.core.pipeline import Simulator, simulate
+from repro.core.ucp import ALT_BP_CONFIG, ALT_IND_CONFIG
 from repro.isa import BranchClass
-from repro.verify.kernel_diff import kernel_differential, run_kernel_differential
+from repro.verify.kernel_diff import (
+    _config_variants,
+    kernel_differential,
+    run_kernel_differential,
+)
 from repro.workloads import load_workload
 
 from .conftest import build_branchy_trace
@@ -110,12 +117,105 @@ class TestStream:
         config = SimConfig()
         assert get_stream(trace, config) is get_stream(trace, config)
 
+    def test_stream_keeps_only_provenance(self):
+        """Recorded predictions have trained: their table indices and
+        tags are dropped, the provenance UCP and confidence read is kept."""
+        trace = load_workload("int_02", 1_000).trace
+        stream = record_stream(trace, SimConfig())
+        assert stream.cond_predictions
+        for prediction in stream.cond_predictions:
+            assert not prediction.tage.indices and not prediction.tage.tags
+            assert not prediction.sc.indices
+
+
+# ----------------------------------------------------------------------
+# UCP's recorded alternate-path training
+# ----------------------------------------------------------------------
+
+
+def _with_ucp(config, **overrides):
+    return replace(config, ucp=replace(config.ucp, enabled=True, **overrides))
+
+
+class TestAltPathRecord:
+    def test_record_matches_interpreter_training(self):
+        """The state recorded after conditional k is the interpreter
+        UCPEngine's Alt-BP/Alt-Ind predicted-path state after its k-th."""
+        trace = load_workload("dc_call_01", 2_000).trace
+        sim = Simulator(trace, _with_ucp(SimConfig()), kernel=False)
+        engine = sim.ucp
+        states = []
+        on_conditional = engine.on_conditional
+
+        def spy(event, cycle):
+            on_conditional(event, cycle)
+            states.append(
+                (engine.alt_bp.histories.snapshot(), engine.alt_ind.histories.snapshot())
+            )
+
+        engine.on_conditional = spy
+        sim.run()
+        record = record_alt_path(trace, ALT_BP_CONFIG, ALT_IND_CONFIG)
+        assert states
+        assert states == list(zip(record.cond_states, record.indirect_states))
+        indirects = sum(
+            1
+            for c in trace.branch_classes.tolist()
+            if c in (int(BranchClass.INDIRECT), int(BranchClass.CALL_INDIRECT))
+        )
+        assert indirects and len(record.indirect_predictions) == indirects
+
+    @pytest.mark.parametrize("use_indirect", [True, False])
+    def test_kernel_predicts_only_on_the_walk(self, use_indirect):
+        """On the kernel Alt-BP predicts only with the walk's histories and
+        no predicted-path Alt-BP/Alt-Ind history is ever pushed; the
+        interpreter still trains live."""
+        trace = load_workload("int_02", 2_000).trace
+        config = _with_ucp(SimConfig(), use_indirect=use_indirect)
+        pushes = {}
+        for kernel in (True, False):
+            sim = Simulator(trace, config, kernel=kernel)
+            engine = sim.ucp
+            calls = []
+            predict = engine.alt_bp.predict
+
+            def spy(pc, histories=None, predict=predict, calls=calls, engine=engine):
+                calls.append(histories is engine.alt_histories)
+                return predict(pc, histories=histories)
+
+            engine.alt_bp.predict = spy
+            count = [0]
+            predicted_path = [engine.alt_bp.histories]
+            if engine.alt_ind is not None:
+                predicted_path.append(engine.alt_ind.histories)
+            for histories in predicted_path:
+                push = histories.push
+
+                def counted(pc, taken, push=push, count=count):
+                    count[0] += 1
+                    push(pc, taken)
+
+                histories.push = counted
+            sim.run()
+            pushes[kernel] = count[0]
+            if kernel:
+                assert calls and all(calls)
+            else:
+                assert not all(calls)
+        assert pushes[True] == 0 and pushes[False] > 0
+
+    def test_alt_record_cached_per_trace(self):
+        trace = load_workload("fp_01", 1_000).trace
+        first = get_alt_record(trace, ALT_BP_CONFIG, ALT_IND_CONFIG)
+        assert get_alt_record(trace, ALT_BP_CONFIG, ALT_IND_CONFIG) is first
+
 
 # ----------------------------------------------------------------------
 # Differential: the committed bit-identity gate
 # ----------------------------------------------------------------------
 
 PINNED = ["fp_01", "int_02", "srv_05"]
+
 DC_SLICE = ["dc_call_01", "dc_interp_01", "dc_mega_01"]
 
 
@@ -147,6 +247,10 @@ class TestDifferential:
             ("l1i_uop", lambda c: replace(c, l1i_hits_are_uop_hits=True)),
             ("mrc", lambda c: replace(c, mrc_entries=64)),
             ("djolt", lambda c: replace(c, l1i_prefetcher="djolt")),
+            ("ucp_tage_conf", lambda c: _with_ucp(c, confidence="tage")),
+            ("ucp_perceptron", lambda c: _with_ucp(c, confidence="perceptron")),
+            ("ucp_no_altind", lambda c: _with_ucp(c, use_indirect=False)),
+            ("ucp_tilll1i", lambda c: _with_ucp(c, till_l1i_only=True)),
         ],
     )
     def test_config_variants_bit_identical(self, label, config_fn):
@@ -160,7 +264,7 @@ class TestDifferential:
         report = run_kernel_differential(
             n_instructions=1_000, workloads=("int_02",)
         )
-        assert len(report.cases) == 2
+        assert len(report.cases) == len(_config_variants())
         payload = report.to_dict()
         assert payload["oracle"] == "kernel-differential"
         assert report.render().startswith("kernel-vs-interpreter")

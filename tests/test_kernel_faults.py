@@ -3,16 +3,18 @@
 The kernel-vs-interpreter differential oracle is the only committed
 defence against a replay bug producing silently wrong (but plausible)
 results.  This suite injects the registered kernel faults — span
-off-by-one, skewed replay cursor, stale branch class in the recorder —
-and asserts the oracle catches every one with the
-``kernel-differential`` invariant, mirroring ``test_verify_faults.py``
-for the sanitizer.
+off-by-one, skewed replay cursor, stale branch class in the recorder,
+stale alternate-path history in UCP's replay — and asserts the oracle
+catches every one with the ``kernel-differential`` invariant, mirroring
+``test_verify_faults.py`` for the sanitizer.
 """
 
 import pytest
 
 from repro.core.backend import Backend
 from repro.core.kernel import stream as stream_module
+from repro.core.kernel.stream import AltPathReplay
+from repro.core.ucp import UCPEngine
 from repro.frontend.bpu import BPU, LiveSource, ReplaySource
 from repro.verify.kernel_diff import KERNEL_DIFFERENTIAL
 from repro.verify.kernel_faults import KERNEL_FAULTS, run_kernel_fault
@@ -32,6 +34,7 @@ def test_registry_has_the_three_kernel_faults():
         "kernel-span-off-by-one",
         "kernel-stale-branch-class",
         "kernel-skewed-cursor",
+        "kernel-stale-alt-history",
     }
 
 
@@ -48,11 +51,11 @@ def test_kernel_fault_is_caught(name):
 
 
 def test_patches_are_restored_after_runs():
-    originals = _class_methods(ReplaySource)
+    originals = _class_methods(ReplaySource, AltPathReplay)
     record, cache = stream_module.record_stream, stream_module._CACHE
     for name in KERNEL_FAULTS:
         run_kernel_fault(name)
-    assert _class_methods(ReplaySource) == originals
+    assert _class_methods(ReplaySource, AltPathReplay) == originals
     assert stream_module.record_stream is record
     assert stream_module._CACHE is cache
 
@@ -60,11 +63,11 @@ def test_patches_are_restored_after_runs():
 def test_faults_only_patch_the_replay_class():
     """The interpreter reference must stay clean, or the differential
     would compare one bug against itself: while any kernel fault is
-    injected, BPU, the live source and Backend are unpatched."""
-    originals = _class_methods(BPU, LiveSource, Backend)
+    injected, BPU, the live source, UCPEngine and Backend are unpatched."""
+    originals = _class_methods(BPU, LiveSource, UCPEngine, Backend)
     for fault in KERNEL_FAULTS.values():
         with fault.inject():
-            assert _class_methods(BPU, LiveSource, Backend) == originals
+            assert _class_methods(BPU, LiveSource, UCPEngine, Backend) == originals
 
 
 def test_cursor_desync_is_reported_missed(monkeypatch):

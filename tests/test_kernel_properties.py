@@ -8,11 +8,20 @@ traces (random branch mixes, loop/H2P fractions, so span and event
 boundaries land in arbitrary places) through the full 2×2 matrix and
 demand identical ``StatBlock`` exports, interval samples and
 stall-taxonomy partitions.
+
+The replay of UCP's predicted-path training rests on one more premise,
+checked here too: a predict against detached (walk) histories changes
+no predictor state, so the tables at each conditional branch do not
+depend on when walks ran.
 """
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.branch.ittage import ITTAGE, ITTAGEConfig
+from repro.branch.tage_sc_l import TageScL, TageScLConfig
 from repro.core.configs import SimConfig
 from repro.core.kernel import KernelSimulator
 from repro.core.pipeline import Simulator, simulate
@@ -119,3 +128,39 @@ class TestKernelSkipIntervalMatrix:
         kernel = simulate(trace, config, kernel=True, interval=interval)
         assert interp.intervals == kernel.intervals
         assert len(kernel.intervals) > 0
+
+
+_BRANCHES = st.lists(
+    st.tuples(st.integers(0, 1 << 12), st.booleans(), st.integers(0, 7)),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestDetachedPredictIsPure:
+    @settings(deadline=None, max_examples=25)
+    @given(training=_BRANCHES, walk=_BRANCHES)
+    def test_tage_sc_l_predict_leaves_tables_unchanged(self, training, walk):
+        predictor = TageScL(TageScLConfig.small())
+        for pc_word, taken, _ in training:
+            predictor.update(predictor.predict(4 * pc_word), taken)
+        histories = predictor.make_histories()
+        before = pickle.dumps(predictor)
+        for pc_word, taken, _ in walk:
+            predictor.predict(4 * pc_word, histories=histories)
+            histories.push(4 * pc_word, taken)
+        assert pickle.dumps(predictor) == before
+
+    @settings(deadline=None, max_examples=25)
+    @given(training=_BRANCHES, walk=_BRANCHES)
+    def test_ittage_predict_leaves_tables_unchanged(self, training, walk):
+        predictor = ITTAGE(ITTAGEConfig.small())
+        for pc_word, taken, target in training:
+            predictor.update(predictor.predict(4 * pc_word), 0x4000 + 4 * target)
+            predictor.push_history(4 * pc_word, taken)
+        histories = predictor.make_histories()
+        before = pickle.dumps(predictor)
+        for pc_word, taken, _ in walk:
+            predictor.predict(4 * pc_word, histories=histories)
+            histories.push(4 * pc_word, taken)
+        assert pickle.dumps(predictor) == before

@@ -13,6 +13,7 @@ from repro.core import SimConfig, Simulator
 from repro.core.configs import UCPConfig
 from repro.core.mrc import MRC
 from repro.core.weights import INFINITE, condition_weight, target_weight
+from repro.isa import BranchClass
 from repro.workloads import load_workload
 
 
@@ -175,12 +176,49 @@ class TestUCPEngine:
         # The no-Alt-Ind flavour can never resolve an indirect target.
         assert with_ind.window.get("ucp_stop_indirect_no_predictor", 0) == 0
 
+    def test_deferred_alt_ind_history_is_complete_at_each_predict(self):
+        """Walk branches reach the Alt-Ind histories lazily; at every
+        walk-time Alt-Ind predict they must hold the walk's start state
+        plus every branch walked since, like an eagerly pushed copy."""
+        engine = ucp_simulator("srv_05", n=8_000).ucp
+        reference = engine.alt_ind.make_histories()
+        push, start_walk, predict = (
+            engine.alt_histories.push,
+            engine._start_walk,
+            engine.alt_ind.predict,
+        )
+
+        def mirrored_push(pc, taken):
+            push(pc, taken)
+            reference.push(pc, taken)
+
+        def spied_start(event, alt_start):
+            start_walk(event, alt_start)
+            reference.restore(engine.alt_ind_histories.snapshot())
+            reference.push(event.pc, not event.prediction.taken)
+
+        checked = []
+
+        def spied_predict(pc, histories=None):
+            if histories is engine.alt_ind_histories:
+                assert histories.snapshot() == reference.snapshot()
+                checked.append(pc)
+            return predict(pc, histories=histories)
+
+        engine.alt_histories.push = mirrored_push
+        engine._start_walk = spied_start
+        engine.alt_ind.predict = spied_predict
+        engine.sim.run()
+        assert checked
+
     def test_alt_histories_diverge_and_resync(self):
-        sim = ucp_simulator(n=4_000)
-        engine = sim.ucp
+        # The interpreter trains the predicted-path histories live.
+        trace = load_workload("srv_04", 4_000).trace
+        config = replace(SimConfig(), ucp=UCPConfig(enabled=True))
+        engine = Simulator(trace, config, kernel=False).ucp
         # Push some predicted-path history.
         for i in range(20):
-            engine.on_unconditional(0x2000 + 4 * i)
+            engine.on_unconditional(0x2000 + 4 * i, int(BranchClass.UNCOND_DIRECT), 0x3000)
         engine.alt_histories.copy_from(engine.alt_bp.histories)
         a = engine.alt_bp.predict(0x5000)
         b = engine.alt_bp.predict(0x5000, histories=engine.alt_histories)
