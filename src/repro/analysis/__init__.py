@@ -4,9 +4,10 @@
   of (workload, config) simulation pairs, so experiments and benchmarks
   sharing baselines never re-simulate them.  Disk entries are checksummed
   and written atomically.
-* :mod:`repro.analysis.parallel` — the parallel experiment engine:
-  schedules deduplicated pending jobs across worker processes and merges
-  results back into the caches, bit-identical to the serial path.
+* :mod:`repro.analysis.parallel` — the batch experiment engine: dedups
+  jobs, resolves cache hits, and runs the pending rest in process or
+  through the job executor (:mod:`repro.serve.scheduler`), bit-identical
+  to the serial path.
 * :mod:`repro.analysis.tables` — plain-text rendering of the tables and
   figure series the experiment drivers produce.
 * :mod:`repro.analysis.plot` — terminal bar charts / sparklines / series

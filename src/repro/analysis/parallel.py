@@ -1,11 +1,12 @@
-"""Parallel experiment execution engine.
+"""Batch experiment execution: a synchronous facade over the job executor.
 
 Every figure reproduction fans out dozens of independent
 ``(workload, config, n_instructions)`` simulations.  :class:`ParallelRunner`
-schedules the deduplicated set of *pending* jobs (those not already in the
-in-memory or on-disk cache) across a :class:`concurrent.futures.
-ProcessPoolExecutor` and merges worker results back into both cache
-layers, so the parallel path is bit-identical to running
+dedups them by cache key, resolves what the in-memory or on-disk cache
+already holds without starting an event loop, and hands the *pending*
+rest to :class:`repro.serve.scheduler.Scheduler` — the executor behind
+``repro serve`` too — with one worker slot per pending job, up to
+``jobs``.  Results are bit-identical to running
 :func:`repro.analysis.runner.run_cached` serially — same seeds, same
 stats — just faster on multi-core machines.
 
@@ -15,9 +16,10 @@ Worker count resolution order:
 2. the ``REPRO_SIM_JOBS`` environment variable;
 3. ``os.cpu_count()``.
 
-``jobs=1`` (or a single pending job, or a platform without usable
-``multiprocessing`` start methods) falls back to a serial in-process loop
-— no pool, no pickling, identical results.
+``jobs=1`` (or a single pending job) runs a plain in-process loop — no
+event loop, no pool, no pickling, identical results.  Otherwise
+:meth:`ParallelRunner.run` calls :func:`asyncio.run`, so it must not be
+called from inside a running event loop.
 
 Example
 -------
@@ -30,19 +32,19 @@ Example
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis import runner as _runner
 from repro.common.stats import StatBlock, TimingSummary
 from repro.core.configs import SimConfig
-from repro.core.pipeline import SimResult, simulate
-from repro.observe import telemetry
-from repro.workloads.suite import load_workload
+from repro.core.pipeline import SimResult
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.serve.protocol import ServeError
+    from repro.serve.scheduler import FlightResult
 
 __all__ = [
     "SimJob",
@@ -54,19 +56,6 @@ __all__ = [
     "resolve_job_timeout",
     "run_jobs",
 ]
-
-
-#: EngineStats counters mirrored into the telemetry registry per run
-#: (delta-based, so repeated runs accumulate process-lifetime totals).
-_MIRRORED_COUNTERS = (
-    "jobs_requested",
-    "jobs_deduped",
-    "jobs_from_memory",
-    "jobs_from_disk",
-    "jobs_simulated",
-    "jobs_failed",
-    "jobs_timed_out",
-)
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,7 @@ class EngineStats:
     * ``jobs_deduped`` — duplicates folded by single-flight keying;
     * ``jobs_from_memory`` / ``jobs_from_disk`` — cache hits;
     * ``jobs_simulated`` — jobs actually executed this run;
-    * ``jobs_failed`` — jobs whose worker raised;
+    * ``jobs_failed`` — jobs whose worker raised or died;
     * ``jobs_timed_out`` — jobs abandoned past the per-job timeout
       (counted in ``jobs_failed`` too).
     """
@@ -152,8 +141,8 @@ class JobTimeoutError(RuntimeError):
     """A pool job ran past its per-job timeout and was abandoned.
 
     The worker executing it may be wedged (that is what the timeout is
-    for); the runner kills the pool's processes after draining the other
-    jobs, so a poisoned config cannot leak a hung worker past the run.
+    for); the executor kills that worker's slot and restarts it, so a
+    poisoned config cannot leak a hung worker past the run.
     """
 
     def __init__(self, job: SimJob, timeout: float) -> None:
@@ -196,63 +185,8 @@ def resolve_job_timeout(timeout: float | None = None) -> float | None:
     return timeout
 
 
-def _pool_context() -> multiprocessing.context.BaseContext | None:
-    """Pick a start method, preferring fork (cheap, inherits warm state)."""
-    methods = multiprocessing.get_all_start_methods()
-    for method in ("fork", "spawn", "forkserver"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None
-
-
-def _worker_init(parent_pid: int) -> None:
-    """Worker-process initializer: exit if the parent dies.
-
-    A SIGKILLed parent cannot shut the pool down, and every worker holds
-    the call-queue pipe open, so idle workers would otherwise block on it
-    forever.  A watchdog thread notices the re-parenting and exits; the
-    atomic cache writes make dying mid-job harmless.
-    """
-
-    def watch() -> None:
-        while os.getppid() == parent_pid:
-            time.sleep(1.0)
-        os._exit(0)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _execute_job(workload: str, config: SimConfig, n_instructions: int):
-    """Worker entry point: simulate one job and persist it to disk.
-
-    Runs in the worker process.  The worker writes the entry itself
-    (atomically) so completed work survives even if the parent dies before
-    merging, and returns ``(result, seconds)`` for the parent's caches and
-    timing stats.
-    """
-    start = time.perf_counter()  # lint-ok: SIM002 worker timing telemetry, never touches results
-    result = _runner._load_disk(_runner.cache_key(workload, n_instructions, config))
-    if result is None:
-        spec = load_workload(workload, n_instructions)
-        result = simulate(spec.trace, config, name=workload)
-        _runner._store_disk(
-            _runner.cache_key(workload, n_instructions, config), result
-        )
-    return result, time.perf_counter() - start  # lint-ok: SIM002 timing telemetry
-
-
-@dataclass
-class _RunState:
-    """Mutable bookkeeping for one :meth:`ParallelRunner.run` call."""
-
-    total: int
-    done: int = 0
-    results: dict[str, SimResult] = field(default_factory=dict)
-    failures: list[tuple[SimJob, BaseException]] = field(default_factory=list)
-
-
 class ParallelRunner:
-    """Schedules deduplicated simulation jobs across worker processes.
+    """Runs deduplicated simulation jobs, in parallel when it pays.
 
     Parameters
     ----------
@@ -260,16 +194,14 @@ class ParallelRunner:
         Worker count; ``None`` resolves via :func:`resolve_job_count`.
     progress:
         Optional callback ``progress(done, total, job)`` invoked in the
-        parent process as each job resolves (from cache or from a worker).
+        calling process as each job resolves (from cache or a worker).
     job_timeout:
-        Per-job wall-clock budget in seconds, measured from dispatch to
-        the pool; ``None`` resolves via :func:`resolve_job_timeout`
-        (``REPRO_SIM_JOB_TIMEOUT``, default: no timeout).  A job past its
-        budget fails with :class:`JobTimeoutError` while the remaining
-        jobs finish; the pool's processes are then killed rather than
-        joined, so a wedged worker cannot hang the run.  The serial
-        (``jobs=1``) fallback cannot interrupt an in-process simulation
-        and ignores the timeout.
+        Per-job wall-clock budget in seconds; ``None`` resolves via
+        :func:`resolve_job_timeout` (``REPRO_SIM_JOB_TIMEOUT``, default:
+        no timeout).  A job past its budget fails with
+        :class:`JobTimeoutError` and only its worker is restarted while
+        the remaining jobs finish.  The in-process path (one worker)
+        cannot interrupt a simulation and ignores the timeout.
     """
 
     def __init__(
@@ -283,225 +215,109 @@ class ParallelRunner:
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.stats = EngineStats()
 
-    # -- public API --------------------------------------------------------
-
     def run(self, jobs: list[SimJob]) -> dict[str, SimResult]:
         """Resolve every job, returning ``{cache_key: SimResult}``.
 
         Cache hits are returned directly; the remaining unique jobs are
-        simulated (in parallel when ``self.jobs > 1``) and merged into the
-        in-memory and on-disk caches.  If any worker fails, the successes
+        simulated (in parallel when ``self.jobs > 1``) and land in the
+        in-memory and on-disk caches.  If any job fails, the successes
         are still cached and a :class:`ParallelExecutionError` is raised.
         """
         start = time.perf_counter()  # lint-ok: SIM002 wall-clock telemetry for run reports
-        before = {name: self.stats.counters[name] for name in _MIRRORED_COUNTERS}
-        timings_before = len(self.stats.timings)
+        counters = self.stats.counters
+        results: dict[str, SimResult] = {}
+        failures: list[tuple[SimJob, BaseException]] = []
         try:
-            self.stats.counters.add("jobs_requested", len(jobs))
+            counters.add("jobs_requested", len(jobs))
 
             # Single-flight dedup: two figures requesting the same key in one
             # batch (or the same key twice in one suite) simulate once.
             unique: dict[str, SimJob] = {}
             for job in jobs:
                 if job.key in unique:
-                    self.stats.counters.add("jobs_deduped")
+                    counters.add("jobs_deduped")
                 else:
                     unique[job.key] = job
 
-            state = _RunState(total=len(unique))
+            def resolve(job: SimJob, result: SimResult) -> None:
+                results[job.key] = result
+                if self.progress is not None:
+                    self.progress(len(results), len(unique), job)
+
+            def settle(
+                job: SimJob, outcome: FlightResult | ServeError | Exception
+            ) -> None:
+                if not isinstance(outcome, Exception):
+                    counters.add("jobs_simulated")
+                    self.stats.timings.append(JobTiming(job, outcome.seconds))
+                    resolve(job, outcome.result)
+                    return
+                counters.add("jobs_failed")
+                error: BaseException = outcome
+                code = getattr(outcome, "code", None)
+                if code == "timeout":
+                    counters.add("jobs_timed_out")
+                    error = JobTimeoutError(job, self.job_timeout or 0.0)
+                elif code == "internal" and outcome.__cause__ is not None:
+                    error = outcome.__cause__  # what the job body raised
+                failures.append((job, error))
+
             pending: list[SimJob] = []
             for key, job in unique.items():
                 cached = _runner._memory_cache.get(key)
                 if cached is not None:
-                    self.stats.counters.add("jobs_from_memory")
-                    self._resolve(state, job, cached)
-                    continue
-                cached = _runner._load_disk(key)
-                if cached is not None:
-                    self.stats.counters.add("jobs_from_disk")
-                    _runner._memory_cache[key] = cached
-                    self._resolve(state, job, cached)
-                    continue
-                pending.append(job)
-
-            if pending:
-                context = _pool_context()
-                if self._effective_workers(len(pending)) == 1 or context is None:
-                    self._run_serial(state, pending)
+                    counters.add("jobs_from_memory")
                 else:
-                    self._run_pool(state, pending, context)
+                    cached = _runner._load_disk(key)
+                    if cached is None:
+                        pending.append(job)
+                        continue
+                    counters.add("jobs_from_disk")
+                    _runner._memory_cache[key] = cached
+                resolve(job, cached)
+
+            workers = min(self.jobs, len(pending))
+            if workers == 1:
+                for job in pending:
+                    settle(job, _run_in_process(job))
+            elif workers > 1:
+                # Imported here: the import-time cost of asyncio and the
+                # serve package falls only on runs that need a pool.
+                import asyncio
+
+                from repro.serve.scheduler import Scheduler
+
+                scheduler = Scheduler(
+                    workers,
+                    mode="process",
+                    # Already resolved: 0 means "none", not "read the env".
+                    job_timeout=self.job_timeout or 0.0,
+                )
+                asyncio.run(scheduler.run_batch(pending, settle))
         finally:
             self.stats.wall_seconds += time.perf_counter() - start  # lint-ok: SIM002 timing telemetry
-            self._mirror_telemetry(before, timings_before)
 
-        if state.failures:
-            raise ParallelExecutionError(state.failures)
-        return state.results
+        if failures:
+            raise ParallelExecutionError(failures)
+        return results
 
-    def _mirror_telemetry(
-        self, before: dict[str, int], timings_before: int
-    ) -> None:
-        """Mirror this run's counter deltas into the telemetry registry.
 
-        The per-run :class:`EngineStats` StatBlock stays authoritative
-        (and deterministic); the registry gets process-lifetime totals so
-        ``repro serve --metrics-port`` / ``repro top`` can see the engine
-        without reaching into runner objects.
-        """
-        tel = telemetry.maybe()
-        if tel is None:
-            return
-        family = tel.counter(
-            "repro_engine_jobs_total",
-            "ParallelRunner job outcomes (process lifetime).",
-            labels=("outcome",),
+def _run_in_process(job: SimJob) -> FlightResult | Exception:
+    """Run one job through the job body in this process."""
+    from repro.serve import scheduler as _scheduler
+
+    try:
+        result, seconds, taxonomy, _spans = _scheduler.execute_job(
+            job.workload,
+            job.config,
+            job.n_instructions,
+            observe=None,
+            trace_wire=None,
         )
-        for name in _MIRRORED_COUNTERS:
-            delta = self.stats.counters[name] - before[name]
-            if delta > 0:
-                family.inc(delta, outcome=name.removeprefix("jobs_"))
-        seconds = tel.histogram(
-            "repro_engine_job_seconds",
-            "Wall seconds per executed (non-cache-hit) engine job.",
-        )
-        for timing in self.stats.timings[timings_before:]:
-            seconds.observe(timing.seconds)
-
-    # -- internals ---------------------------------------------------------
-
-    def _effective_workers(self, n_pending: int) -> int:
-        return min(self.jobs, n_pending)
-
-    def _resolve(self, state: _RunState, job: SimJob, result: SimResult) -> None:
-        state.results[job.key] = result
-        state.done += 1
-        if self.progress is not None:
-            self.progress(state.done, state.total, job)
-
-    def _merge(self, state: _RunState, job: SimJob, result: SimResult) -> None:
-        """Merge a freshly simulated result into both cache layers."""
-        _runner._memory_cache[job.key] = result
-        # The worker already persisted it; cover the serial path and any
-        # worker whose write failed.  Atomic replace makes this re-write
-        # race-free even if another process is storing the same key.
-        if _runner._load_disk(job.key) is None:
-            _runner._store_disk(job.key, result)
-        self._resolve(state, job, result)
-
-    def _run_serial(self, state: _RunState, pending: list[SimJob]) -> None:
-        """In-process fallback: identical semantics, no pool overhead."""
-        for job in pending:
-            try:
-                result, seconds = _execute_job(
-                    job.workload, job.config, job.n_instructions
-                )
-            except Exception as error:
-                self.stats.counters.add("jobs_failed")
-                state.failures.append((job, error))
-                continue
-            self.stats.counters.add("jobs_simulated")
-            self.stats.timings.append(JobTiming(job, seconds))
-            self._merge(state, job, result)
-
-    def _run_pool(
-        self,
-        state: _RunState,
-        pending: list[SimJob],
-        context: multiprocessing.context.BaseContext,
-    ) -> None:
-        workers = self._effective_workers(len(pending))
-        timeout = self.job_timeout
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(os.getpid(),),
-        )
-        poisoned = False
-        try:
-            # Submit at most ``workers`` jobs at a time so a dispatched
-            # future starts executing immediately — that makes "time since
-            # dispatch" the right clock for the per-job timeout.
-            queue = list(reversed(pending))
-            futures: dict = {}
-            deadlines: dict = {}
-            # Futures still in flight, insertion-ordered (dispatch order).
-            outstanding: dict = {}
-
-            def submit_next() -> None:
-                job = queue.pop()
-                future = pool.submit(
-                    _execute_job, job.workload, job.config, job.n_instructions
-                )
-                futures[future] = job
-                outstanding[future] = None
-                if timeout is not None:
-                    deadlines[future] = time.monotonic() + timeout  # lint-ok: SIM002 timeout deadline bookkeeping
-
-            while queue and len(outstanding) < workers:
-                submit_next()
-            while outstanding:
-                if timeout is not None:
-                    slack = min(deadlines[f] for f in outstanding) - time.monotonic()  # lint-ok: SIM002 timeout deadline bookkeeping
-                    completed, _ = wait(
-                        list(outstanding),
-                        timeout=max(slack, 0.0),
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    completed, _ = wait(
-                        list(outstanding), return_when=FIRST_COMPLETED
-                    )
-                if not completed and timeout is not None:
-                    now = time.monotonic()  # lint-ok: SIM002 timeout deadline bookkeeping
-                    for future in [
-                        f for f in outstanding if deadlines.get(f, 0.0) <= now
-                    ]:
-                        if future.done():
-                            continue  # finished at the wire: next wait() returns it
-                        # Running (or queued behind a wedged worker) —
-                        # either way it missed its budget: abandon it.  The
-                        # hung process is killed after the loop drains.
-                        future.cancel()
-                        outstanding.pop(future, None)
-                        poisoned = True
-                        job = futures[future]
-                        self.stats.counters.add("jobs_failed")
-                        self.stats.counters.add("jobs_timed_out")
-                        state.failures.append((job, JobTimeoutError(job, timeout)))
-                        if queue:
-                            submit_next()
-                for future in sorted(completed, key=lambda f: futures[f].key):
-                    outstanding.pop(future, None)
-                    deadlines.pop(future, None)
-                    job = futures[future]
-                    try:
-                        result, seconds = future.result()
-                    except Exception as error:
-                        self.stats.counters.add("jobs_failed")
-                        state.failures.append((job, error))
-                    else:
-                        self.stats.counters.add("jobs_simulated")
-                        self.stats.timings.append(JobTiming(job, seconds))
-                        self._merge(state, job, result)
-                    if queue:
-                        submit_next()
-        finally:
-            if poisoned:
-                # At least one worker is presumed wedged: do not join it.
-                # Snapshot the process table first — the executor's
-                # management thread nulls it out during teardown.
-                processes = list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                )
-                pool.shutdown(wait=False, cancel_futures=True)
-                for process in processes:
-                    try:
-                        process.terminate()
-                    except Exception:
-                        pass
-            else:
-                pool.shutdown(wait=True)
+    except Exception as error:
+        return error
+    _runner._memory_cache[job.key] = result
+    return _scheduler.FlightResult(result, False, "simulated", seconds, taxonomy)
 
 
 def run_jobs(

@@ -48,7 +48,8 @@ Commands
 ``serve``
     Run the asyncio experiment server (:mod:`repro.serve`): NDJSON
     requests over a local TCP socket, single-flight deduplication across
-    clients, sharded worker pools, streamed progress events.
+    clients, one shared queue drained by worker slots, streamed progress
+    events.
     ``--metrics-port N`` additionally serves the telemetry registry as
     Prometheus text on ``http://HOST:N/metrics`` (and JSON on
     ``/metrics.json``) when ``REPRO_SIM_TELEMETRY=1``.
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         metavar="N",
-        help="worker shards (default: REPRO_SERVE_SHARDS or a core heuristic)",
+        help="worker slots draining the shared queue (default: a core heuristic)",
     )
     serve.add_argument(
         "--mode",

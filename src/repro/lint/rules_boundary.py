@@ -3,7 +3,7 @@ submits) and SIM013 (wall-clock/RNG effects feeding StatBlock counters).
 
 Both consume the interprocedural effect pass: SIM012 follows the
 ``unpicklable-capture`` effect into `ProcessPoolExecutor.submit` call
-sites (`repro.analysis.parallel`, `repro.serve.scheduler`), and SIM013
+sites (`repro.serve.scheduler`), and SIM013
 re-proves — statically, project-wide — the determinism contract that the
 kernel-vs-interpreter differential oracle checks dynamically: nothing
 derived from host time or global RNG may reach a simulated counter.
@@ -108,8 +108,7 @@ asyncio primitives, live sockets, and telemetry handles
 with an opaque `TypeError: cannot pickle` at runtime or — worse —
 smuggle loop-bound state into a worker process.  Job entries must be
 module-level functions and payloads must be plain data (the SimJob /
-dict shapes `repro.analysis.parallel` and `repro.serve.scheduler`
-already use).  Lambdas and nested functions cannot be pickled at all."""
+dict shapes `repro.serve.scheduler` already uses).  Lambdas and nested functions cannot be pickled at all."""
     bad_example = """\
 from concurrent.futures import ProcessPoolExecutor
 

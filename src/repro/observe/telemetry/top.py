@@ -27,7 +27,6 @@ _TOP_FAMILIES = (
     "repro_cache_hits_total",
     "repro_cache_misses_total",
     "repro_cache_evictions_total",
-    "repro_engine_jobs_total",
     "repro_kernel_runs_total",
 )
 
@@ -77,7 +76,7 @@ def render_status(status: dict[str, Any], endpoint: str = "") -> str:
             f"{name.removeprefix('jobs_')} {counters.get(name, 0)}"
             for name in (
                 "jobs_requested",
-                "jobs_coalesced",
+                "jobs_deduped",
                 "jobs_from_memory",
                 "jobs_from_disk",
                 "jobs_simulated",

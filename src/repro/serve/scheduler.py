@@ -1,34 +1,37 @@
-"""Sharded asyncio scheduler: single-flight, priority, cancellation.
+"""The job executor: one shared priority queue drained by N worker slots.
 
-The server's execution core.  Jobs are hashed by cache key onto a fixed
-set of :class:`WorkerShard` slots (each one process — or one thread in
-``thread`` mode for tests), so one poisoned key can only wedge its own
-shard while the others keep serving.  Per shard, queued flights drain in
-``(-priority, arrival)`` order off a heap.
+Both entry points run through it: the experiment server (``repro
+serve``) and :meth:`repro.analysis.parallel.ParallelRunner.run`, a
+synchronous facade that awaits :meth:`Scheduler.run_batch`.  Queued
+flights wait on one ``(-priority, arrival)`` heap; each
+:class:`WorkerShard` is a restartable single-worker slot (one process,
+or one thread in ``thread`` mode for tests) that takes the next flight
+whenever it is idle, so a free slot never waits behind a busy one.
 
-**Single-flight across clients.**  :meth:`Scheduler.submit` coalesces by
+**Single-flight across clients.**  :meth:`Scheduler.submit` dedups by
 cache key: while a flight for a key is queued or running, later submits
-join it (refcounted) instead of spawning duplicate work — the service
-extension of ``run_cached``'s in-process single-flight.  Cache hits
-(memory, then disk) resolve in ``submit`` itself and never touch a pool.
+join it (refcounted) instead of spawning duplicate work — so a hot key
+never occupies two workers.  Cache hits (memory, then disk) resolve in
+``submit`` itself and never touch a pool.
 
 **Failure containment.**  A worker that dies mid-job (``BrokenExecutor``)
-gets its shard restarted and the job retried with exponential backoff;
+gets its slot restarted and the job retried with exponential backoff;
 when retries are exhausted the key is quarantined — subsequent submits
 fail fast with ``quarantined`` instead of re-crashing workers.  A job
-past its timeout gets its shard restarted (the worker may be wedged) and
+past its timeout gets its slot restarted (the worker may be wedged) and
 fails with ``timeout``.  Every failure is a typed
 :class:`~repro.serve.protocol.ServeError` scoped to its own flight;
-other flights, on the same shard or not, are unaffected.
+other flights are unaffected.
 
 **Cancellation.**  Flights are refcounted by interested requests.
 Releasing the last reference cancels the flight: a queued flight is
 dropped before dispatch (lazy heap deletion); a running one has its
-worker killed via shard restart, leaving the shard schedulable.
+worker killed via slot restart, leaving the slot schedulable.
 
-The worker entry point is the module-level :func:`_run_job_entry`
-trampoline resolving :data:`_JOB_ENTRY` at call time — fault-injection
-tests repoint ``_JOB_ENTRY`` and fork-started workers inherit the patch.
+The job body is :func:`execute_job`, looked up by name at each submit:
+tests and fault injectors patch that one attribute.  Process-mode
+patches must be module-level functions (the pool pickles them by name);
+fork-started workers inherit whatever they close over.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -50,12 +55,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis import runner as _runner
-from repro.analysis.parallel import (
-    SimJob,
-    _pool_context,
-    _worker_init,
-    resolve_job_timeout,
-)
+from repro.analysis.parallel import SimJob, resolve_job_timeout
 from repro.common.stats import StatBlock
 from repro.core.configs import SimConfig
 from repro.core.pipeline import SimResult, Simulator
@@ -70,39 +70,35 @@ __all__ = [
     "FlightResult",
     "Scheduler",
     "WorkerShard",
+    "execute_job",
 ]
 
 
-def _default_shards() -> int:
-    raw = os.environ.get("REPRO_SERVE_SHARDS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(2, min(4, (os.cpu_count() or 2) // 2))
-
-
-def _default_job_entry(
+def execute_job(
     workload: str,
     config: SimConfig,
     n_instructions: int,
-    trace_wire: dict[str, Any] | None = None,
+    *,
+    observe: bool | None,
+    trace_wire: dict[str, Any] | None,
 ) -> tuple[SimResult, float, dict[str, Any] | None, list[dict[str, Any]]]:
-    """Worker-side job body: simulate (observing) and persist to disk.
+    """The job body: simulate one job in the worker and persist it to disk.
 
-    Mirrors ``repro.analysis.parallel._execute_job`` — same cache key,
-    same atomic store, so served results are interchangeable with CLI
-    runs — but runs the simulator with the observer on so the stall
-    taxonomy can be streamed back.  Observation is bit-identical to the
-    unobserved run, so the cached entry is too.
+    The worker writes the cache entry itself (atomically), so completed
+    work survives even if the parent dies before collecting it.
+    ``observe`` arms the observer (``None`` defers to
+    ``REPRO_SIM_TRACE``); the server passes ``True`` to stream the stall
+    taxonomy.  Observation is bit-identical to the unobserved run, so
+    the cached entry is too.
 
     ``trace_wire`` is the scheduler span's :meth:`SpanContext.as_wire`
     dict.  With ``REPRO_SIM_TELEMETRY`` on (workers inherit the env) the
     worker opens ``worker.job`` / ``runner.simulate`` child spans and
-    ships them back as plain dicts in the fourth tuple slot — telemetry
-    objects never cross the pickle boundary, and the spans are built in
-    a job-local sink so thread-mode shards cannot double-record.
+    ships them back as plain dicts — telemetry objects never cross the
+    pickle boundary, and the spans are built in a job-local sink so
+    thread-mode slots cannot double-record.
+
+    Returns ``(result, seconds, taxonomy, spans)``.
     """
     start = time.perf_counter()  # lint-ok: SIM002 worker timing telemetry, never touches results
     sink: SpanSink | None = None
@@ -128,7 +124,7 @@ def _default_job_entry(
         )
         spec = load_workload(workload, n_instructions)
         # The engine follows REPRO_SIM_KERNEL, as in the CLI.
-        sim = Simulator(spec.trace, config, name=workload, observe=True)
+        sim = Simulator(spec.trace, config, name=workload, observe=observe)
         result = sim.run()
         if sim.observer is not None:
             taxonomy = sim.observer.taxonomy.as_dict()
@@ -142,28 +138,30 @@ def _default_job_entry(
     return result, time.perf_counter() - start, taxonomy, spans  # lint-ok: SIM002 timing telemetry
 
 
-#: The active worker job body.  Fault-injection tests repoint this;
-#: fork-started pool workers inherit the patch.
-_JOB_ENTRY = _default_job_entry
+def _pool_context() -> multiprocessing.context.BaseContext | None:
+    """Pick a start method, preferring fork (cheap, inherits warm state)."""
+    methods = multiprocessing.get_all_start_methods()
+    for method in ("fork", "spawn", "forkserver"):
+        if method in methods:
+            return multiprocessing.get_context(method)
+    return None
 
 
-def _run_job_entry(
-    workload: str,
-    config: SimConfig,
-    n_instructions: int,
-    trace_wire: dict[str, Any] | None = None,
-) -> tuple[Any, ...]:
-    """Picklable trampoline: resolves :data:`_JOB_ENTRY` in the worker.
+def _worker_init(parent_pid: int) -> None:
+    """Worker-process initializer: exit if the parent dies.
 
-    Patched entries (fault injectors, test doubles) keep the historical
-    3-argument contract and return a 3-tuple; only the default entry
-    receives the trace context and appends the span slot.  The caller
-    unpacks both shapes.
+    A SIGKILLed parent cannot shut the pool down, and every worker holds
+    the call-queue pipe open, so idle workers would otherwise block on it
+    forever.  A watchdog thread notices the re-parenting and exits; the
+    atomic cache writes make dying mid-job harmless.
     """
-    entry = _JOB_ENTRY
-    if entry is _default_job_entry:
-        return entry(workload, config, n_instructions, trace_wire)
-    return entry(workload, config, n_instructions)
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _terminate_pool(pool: Executor) -> None:
@@ -218,10 +216,8 @@ class Flight:
         #: The dispatcher's work task while running (cancellation handle).
         self._work: asyncio.Task[Any] | None = None
         #: Telemetry (populated only when REPRO_SIM_TELEMETRY is on):
-        #: the request's propagated trace context, this flight's
-        #: ``sched.job`` span, and the enqueue timestamp for the
-        #: queue-wait histogram.
-        self.trace: SpanContext | None = None
+        #: this flight's ``sched.job`` span and the enqueue timestamp
+        #: for the queue-wait histogram.
         self.span: Span | None = None
         self.queued_at: float | None = None
 
@@ -246,48 +242,46 @@ class WorkerShard:
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown shard mode {mode!r}")
         self.index = index
+        self.name = f"shard-{index}"
         self.mode = mode
         self.restarts = 0
-        self.wake = asyncio.Event()
-        #: ``(-priority, seq, key)`` heap of queued flight keys.
-        self.heap: list[tuple[int, int, str]] = []
         self._pool: Executor | None = None
 
     def pool(self) -> Executor:
         if self._pool is None:
-            if self.mode == "process":
-                context = _pool_context()
-                if context is None:  # no usable start method on this platform
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=f"repro-shard-{self.index}"
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=context,
-                        initializer=_worker_init,
-                        initargs=(os.getpid(),),
-                    )
-            else:
+            context = _pool_context() if self.mode == "process" else None
+            if context is None:  # thread mode, or no usable start method
                 self._pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-shard-{self.index}"
+                    max_workers=1, thread_name_prefix=f"repro-{self.name}"
+                )
+            else:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=1,
+                    mp_context=context,
+                    initializer=_worker_init,
+                    initargs=(os.getpid(),),
                 )
         return self._pool
 
     def submit(
-        self, job: SimJob, trace_wire: dict[str, Any] | None = None
+        self,
+        job: SimJob,
+        observe: bool | None,
+        trace_wire: dict[str, Any] | None,
     ) -> Future[tuple[Any, ...]]:
         return self.pool().submit(
-            _run_job_entry, job.workload, job.config, job.n_instructions, trace_wire
+            execute_job,
+            job.workload,
+            job.config,
+            job.n_instructions,
+            observe=observe,
+            trace_wire=trace_wire,
         )
 
     def restart(self) -> None:
-        """Kill this shard's worker (it may be wedged) and start fresh."""
-        pool, self._pool = self._pool, None
+        """Kill this slot's worker (it may be wedged) and start fresh."""
         self.restarts += 1
-        if pool is None:
-            return
-        _terminate_pool(pool)
+        self.close()
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
@@ -299,23 +293,28 @@ class WorkerShard:
 class _SchedulerConfig:
     shards: int
     mode: str
+    observe: bool | None
     job_timeout: float | None
     retries: int
     backoff: float
 
 
 class Scheduler:
-    """Sharded, single-flight, priority-aware job scheduler.
+    """Single-queue, single-flight, priority-aware job scheduler.
 
     Parameters
     ----------
     shards:
-        Worker-slot count (default: ``REPRO_SERVE_SHARDS`` or a
-        core-count heuristic).  Each shard owns one worker.
+        Worker-slot count (default: a core-count heuristic).  Each slot
+        owns one worker.
     mode:
         ``"process"`` (isolated workers, restartable on crash/timeout) or
         ``"thread"`` (in-process, for tests — crashes cannot be contained
         but everything is observable and fast).
+    observe:
+        Forwarded to :func:`execute_job`: the server passes ``True`` to
+        collect the stall taxonomy it streams; ``None`` (batches) defers
+        to ``REPRO_SIM_TRACE``.
     job_timeout:
         Per-job budget in seconds (default ``REPRO_SIM_JOB_TIMEOUT``).
     retries:
@@ -329,23 +328,29 @@ class Scheduler:
         shards: int | None = None,
         *,
         mode: str = "process",
+        observe: bool | None = None,
         job_timeout: float | None = None,
         retries: int = 1,
         backoff: float = 0.05,
     ) -> None:
+        if shards is None:
+            shards = max(2, min(4, (os.cpu_count() or 2) // 2))
         self.config = _SchedulerConfig(
-            shards=shards if shards is not None else _default_shards(),
+            shards=shards,
             mode=mode,
+            observe=observe,
             job_timeout=resolve_job_timeout(job_timeout),
             retries=max(0, retries),
             backoff=backoff,
         )
         self.counters = StatBlock("serve_scheduler")
-        self.shards = [
-            WorkerShard(i, mode=mode) for i in range(self.config.shards)
-        ]
+        self.shards = [WorkerShard(i, mode=mode) for i in range(shards)]
         self._flights: dict[str, Flight] = {}
         self._quarantine: dict[str, str] = {}
+        #: ``(-priority, seq, flight)`` entries; cancelled and escalated
+        #: flights leave stale entries behind that dispatch skips.
+        self._heap: list[tuple[int, int, Flight]] = []
+        self._wake = asyncio.Event()
         self._seq = itertools.count()
         self._dispatchers: list[asyncio.Task[None]] = []
         self._closing = False
@@ -357,7 +362,7 @@ class Scheduler:
             return
         self._closing = False
         self._dispatchers = [
-            asyncio.create_task(self._dispatch(shard), name=f"shard-{shard.index}")
+            asyncio.create_task(self._dispatch(shard), name=shard.name)
             for shard in self.shards
         ]
 
@@ -379,10 +384,40 @@ class Scheduler:
         for shard in self.shards:
             shard.close()
 
-    # -- submission ---------------------------------------------------------
+    async def run_batch(
+        self,
+        jobs: list[SimJob],
+        on_done: Callable[[SimJob, FlightResult | ServeError], None],
+    ) -> None:
+        """Run ``jobs`` to completion, then close the scheduler.
 
-    def shard_for(self, key: str) -> WorkerShard:
-        return self.shards[int(key, 16) % len(self.shards)]
+        ``on_done(job, outcome)`` sees each job's :class:`FlightResult`
+        or :class:`ServeError` as it resolves (ties in key order).
+        """
+        await self.start()
+        try:
+            waiting: dict[asyncio.Future[FlightResult], SimJob] = {}
+            for job in jobs:
+                try:
+                    # One bounded disk probe per job (docs/SERVICE.md).
+                    flight = self.submit(job)  # lint-ok: SIM009 bounded single-key cache probe
+                except ServeError as error:
+                    on_done(job, error)
+                    continue
+                waiting[asyncio.ensure_future(flight.wait())] = job
+            while waiting:
+                done, _ = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED
+                )
+                for task in sorted(done, key=lambda t: waiting[t].key):
+                    job = waiting.pop(task)
+                    try:
+                        outcome: FlightResult | ServeError = task.result()
+                    except ServeError as error:
+                        outcome = error
+                    on_done(job, outcome)
+        finally:
+            await self.close()
 
     # -- telemetry seams (each call site pays one pointer test) -------------
 
@@ -400,14 +435,15 @@ class Scheduler:
         if rec is not None:
             rec.record(shard_name, event, **fields)
 
-    def _set_queue_gauge(self, shard: WorkerShard) -> None:
+    def _set_queue_gauge(self) -> None:
         tel = telemetry.maybe()
         if tel is not None:
             tel.gauge(
                 "repro_sched_queue_depth",
-                "Flights queued per shard (lazy heap entries included).",
-                labels=("shard",),
-            ).set(len(shard.heap), shard=str(shard.index))
+                "Live flights waiting in the scheduler queue.",
+            ).set(self.queued())
+
+    # -- submission ---------------------------------------------------------
 
     def submit(
         self,
@@ -451,8 +487,8 @@ class Scheduler:
                         "Queued flights whose priority was raised by a "
                         "later request.",
                     ).inc()
-            self.counters.add("jobs_coalesced")
-            self._count_job("coalesced")
+            self.counters.add("jobs_deduped")
+            self._count_job("deduped")
             return flight
 
         cached, source = self._probe_cache(job)
@@ -475,27 +511,14 @@ class Scheduler:
         flight = Flight(
             job, priority, timeout if timeout is not None else self.config.job_timeout
         )
-        flight.trace = trace
         sink = telemetry.maybe_spans()
         if sink is not None:
-            shard = self.shard_for(job.key)
             flight.span = sink.start_span(
                 "sched.job",
                 parent=trace,
-                attrs={
-                    "workload": job.workload,
-                    "key": job.key,
-                    "shard": shard.index,
-                },
+                attrs={"workload": job.workload, "key": job.key},
             )
             flight.queued_at = time.monotonic()  # lint-ok: SIM002 queue-wait telemetry
-            self._record_event(
-                f"shard-{shard.index}",
-                "job-submitted",
-                key=job.key,
-                workload=job.workload,
-                priority=priority,
-            )
         self._flights[job.key] = flight
         eviction.protect(job.key)
         self._enqueue(flight)
@@ -525,12 +548,16 @@ class Scheduler:
         self._quarantine.clear()
         return count
 
+    def queued(self) -> int:
+        """Live flights waiting for a slot (stale heap entries excluded)."""
+        return sum(1 for f in self._flights.values() if f.state == _QUEUED)
+
     def stats(self) -> dict[str, Any]:
         return {
             "counters": self.counters.as_dict(),
             "shards": len(self.shards),
             "mode": self.config.mode,
-            "queued": sum(len(shard.heap) for shard in self.shards),
+            "queued": self.queued(),
             "in_flight": sum(
                 1 for f in self._flights.values() if f.state == _RUNNING
             ),
@@ -559,12 +586,9 @@ class Scheduler:
         return None, ""
 
     def _enqueue(self, flight: Flight) -> None:
-        shard = self.shard_for(flight.key)
-        heapq.heappush(
-            shard.heap, (-flight.priority, next(self._seq), flight.key)
-        )
-        self._set_queue_gauge(shard)
-        shard.wake.set()
+        heapq.heappush(self._heap, (-flight.priority, next(self._seq), flight))
+        self._set_queue_gauge()
+        self._wake.set()
 
     def _finish(
         self,
@@ -575,9 +599,12 @@ class Scheduler:
         if flight.done:
             return
         cancelled = error is not None and error.code == "cancelled"
+        was_queued = flight.state == _QUEUED
         flight.state = _CANCELLED if cancelled else _DONE
         if self._flights.get(flight.key) is flight:
             del self._flights[flight.key]
+        if was_queued:
+            self._set_queue_gauge()
         eviction.unprotect(flight.key)
         if flight.span is not None:
             sink = telemetry.maybe_spans()
@@ -600,108 +627,114 @@ class Scheduler:
         if error is not None:
             flight.future.exception()
 
+    async def _next_flight(self) -> Flight:
+        """Pop the highest-priority live queued flight, waiting if none."""
+        while True:
+            while self._heap:
+                _, _, flight = heapq.heappop(self._heap)
+                if flight.state == _QUEUED:
+                    return flight
+                # else: cancelled, resolved, or an escalated duplicate
+            self._wake.clear()
+            await self._wake.wait()
+
     async def _dispatch(self, shard: WorkerShard) -> None:
-        """One shard's drain loop: pop priority order, execute, resolve."""
+        """One slot's drain loop: take the next flight, execute, resolve."""
         while not self._closing:
-            await shard.wake.wait()
-            shard.wake.clear()
-            while shard.heap:
-                _, _, key = heapq.heappop(shard.heap)
-                self._set_queue_gauge(shard)
-                flight = self._flights.get(key)
-                if flight is None or flight.done or flight.state != _QUEUED:
-                    continue  # cancelled, resolved, or an escalated duplicate
-                flight.state = _RUNNING
-                tel = telemetry.maybe()
-                if tel is not None and flight.queued_at is not None:
-                    tel.histogram(
-                        "repro_sched_queue_wait_seconds",
-                        "Seconds a flight waited in its shard queue before "
-                        "dispatch.",
-                    ).observe(time.monotonic() - flight.queued_at)  # lint-ok: SIM002 queue-wait telemetry
+            flight = await self._next_flight()
+            flight.state = _RUNNING
+            self._set_queue_gauge()
+            tel = telemetry.maybe()
+            if tel is not None and flight.queued_at is not None:
+                tel.histogram(
+                    "repro_sched_queue_wait_seconds",
+                    "Seconds a flight waited in the queue before dispatch.",
+                ).observe(time.monotonic() - flight.queued_at)  # lint-ok: SIM002 queue-wait telemetry
+            if flight.span is not None:
+                flight.span.attrs["shard"] = shard.index
+            self._record_event(
+                shard.name,
+                "job-submitted",
+                key=flight.key,
+                workload=flight.job.workload,
+                priority=flight.priority,
+            )
+            self._record_event(
+                shard.name,
+                "job-started",
+                key=flight.key,
+                workload=flight.job.workload,
+            )
+            flight.emit(
+                {
+                    "event": "job-started",
+                    "key": flight.key,
+                    "workload": flight.job.workload,
+                }
+            )
+            work = asyncio.ensure_future(self._run_flight(shard, flight))
+            flight._work = work
+            try:
+                outcome = await work
+            except asyncio.CancelledError:
+                if self._closing:
+                    raise
+                # Cancelled mid-run by the last release(): the worker
+                # may still be crunching — kill it so the slot is
+                # immediately schedulable again.
+                shard.restart()
+                self._count_job("cancelled")
+                self._record_event(shard.name, "job-cancelled", key=flight.key)
+                self._finish(
+                    flight,
+                    error=ServeError(
+                        "cancelled", f"{flight.job.describe()} cancelled"
+                    ),
+                )
+            except ServeError as error:
+                self.counters.add("jobs_failed")
+                self._count_job("failed")
                 self._record_event(
-                    f"shard-{shard.index}",
-                    "job-started",
+                    shard.name,
+                    "job-failed",
+                    key=flight.key,
+                    code=error.code,
+                    detail=str(error),
+                )
+                self._finish(flight, error=error)
+            else:
+                self.counters.add("jobs_simulated")
+                self._count_job("simulated")
+                tel = telemetry.maybe()
+                if tel is not None:
+                    tel.histogram(
+                        "repro_sched_job_seconds",
+                        "Worker wall seconds per simulated flight.",
+                    ).observe(outcome.seconds)
+                self._record_event(
+                    shard.name,
+                    "job-finished",
                     key=flight.key,
                     workload=flight.job.workload,
+                    seconds=round(outcome.seconds, 6),
                 )
-                flight.emit(
-                    {
-                        "event": "job-started",
-                        "key": flight.key,
-                        "workload": flight.job.workload,
-                    }
-                )
-                work = asyncio.ensure_future(self._run_flight(shard, flight))
-                flight._work = work
-                try:
-                    outcome = await work
-                except asyncio.CancelledError:
-                    if self._closing:
-                        raise
-                    # Cancelled mid-run by the last release(): the worker
-                    # may still be crunching — kill it so the shard is
-                    # immediately schedulable again.
-                    shard.restart()
-                    self._count_job("cancelled")
-                    self._record_event(
-                        f"shard-{shard.index}", "job-cancelled", key=flight.key
-                    )
-                    self._finish(
-                        flight,
-                        error=ServeError(
-                            "cancelled", f"{flight.job.describe()} cancelled"
-                        ),
-                    )
-                except ServeError as error:
-                    self.counters.add("jobs_failed")
-                    self._count_job("failed")
-                    self._record_event(
-                        f"shard-{shard.index}",
-                        "job-failed",
-                        key=flight.key,
-                        code=error.code,
-                        detail=str(error),
-                    )
-                    self._finish(flight, error=error)
-                else:
-                    self.counters.add("jobs_simulated")
-                    self._count_job("simulated")
-                    tel = telemetry.maybe()
-                    if tel is not None:
-                        tel.histogram(
-                            "repro_sched_job_seconds",
-                            "Worker wall seconds per simulated flight.",
-                        ).observe(outcome.seconds)
-                    self._record_event(
-                        f"shard-{shard.index}",
-                        "job-finished",
-                        key=flight.key,
-                        workload=flight.job.workload,
-                        seconds=round(outcome.seconds, 6),
-                    )
-                    self._finish(flight, outcome)
+                self._finish(flight, outcome)
 
     async def _run_flight(self, shard: WorkerShard, flight: Flight) -> FlightResult:
-        """Execute one flight on its shard: timeout, retry, quarantine."""
+        """Execute one flight on a slot: timeout, retry, quarantine."""
         job = flight.job
         timeout = flight.timeout
-        shard_name = f"shard-{shard.index}"
         trace_wire = (
             flight.span.context.as_wire() if flight.span is not None else None
         )
         attempt = 0
         while True:
-            pool_future = shard.submit(job, trace_wire)
+            pool_future = shard.submit(job, self.config.observe, trace_wire)
             self.counters.add("pool_dispatches")
             try:
-                payload = await asyncio.wait_for(
+                result, seconds, taxonomy, worker_spans = await asyncio.wait_for(
                     asyncio.wrap_future(pool_future), timeout
                 )
-                # Patched 3-tuple entries carry no span slot (see
-                # _run_job_entry); tolerate both shapes.
-                result, seconds, taxonomy = payload[0], payload[1], payload[2]
-                worker_spans = payload[3] if len(payload) > 3 else []
             except asyncio.TimeoutError:
                 pool_future.cancel()
                 shard.restart()  # the worker is presumed wedged
@@ -722,7 +755,7 @@ class Scheduler:
                     self.counters.add("jobs_crashed")
                     self._count_job("crashed")
                     self._record_event(
-                        shard_name, "job-quarantined", key=job.key, reason=reason
+                        shard.name, "job-quarantined", key=job.key, reason=reason
                     )
                     self._note_restart(shard, "worker-crash", job)
                     raise ServeError(
@@ -733,7 +766,7 @@ class Scheduler:
                 self.counters.add("worker_retries")
                 self._count_job("retried")
                 self._record_event(
-                    shard_name, "job-retry", key=job.key, attempt=attempt
+                    shard.name, "job-retry", key=job.key, attempt=attempt
                 )
                 await asyncio.sleep(self.config.backoff * (2 ** (attempt - 1)))
             except ServeError:
@@ -758,23 +791,20 @@ class Scheduler:
                 )
 
     def _note_restart(self, shard: WorkerShard, reason: str, job: SimJob) -> None:
-        """Shard-restart telemetry: labeled counter, ring event, crash dump.
+        """Slot-restart telemetry: labeled counter, ring event, crash dump.
 
         Called *after* the restart on the crash/timeout paths — exactly
-        the moments the flight recorder exists for, so the shard's ring
+        the moments the flight recorder exists for, so the slot's ring
         (ending with this job's final events) is dumped to an artifact.
         """
         tel = telemetry.maybe()
         if tel is not None:
             tel.counter(
                 "repro_sched_restarts_total",
-                "Worker-shard restarts by shard and reason.",
+                "Worker-slot restarts by slot and reason.",
                 labels=("shard", "reason"),
             ).inc(shard=str(shard.index), reason=reason)
-        shard_name = f"shard-{shard.index}"
-        self._record_event(
-            shard_name, "shard-restart", reason=reason, key=job.key
-        )
+        self._record_event(shard.name, "shard-restart", reason=reason, key=job.key)
         rec = telemetry.maybe_recorder()
         if rec is not None:
-            rec.dump(shard_name, reason)
+            rec.dump(shard.name, reason)

@@ -107,7 +107,7 @@ class ExperimentServer:
         self.host = host
         self.port = port
         self.scheduler = scheduler or Scheduler(
-            shards, mode=mode, job_timeout=job_timeout
+            shards, mode=mode, observe=True, job_timeout=job_timeout
         )
         self.max_pending = resolve_max_pending(max_pending)
         self.metrics_port = metrics_port
@@ -293,7 +293,7 @@ class ExperimentServer:
             else None
         )
         try:
-            queued = sum(len(shard.heap) for shard in self.scheduler.shards)
+            queued = self.scheduler.queued()
             if queued >= self.max_pending:
                 raise ServeError(
                     "overloaded",

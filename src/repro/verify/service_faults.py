@@ -3,13 +3,14 @@
 The PR 2 registry (:mod:`repro.verify.faults`) proves the *simulator*
 catches model bugs; this registry proves the *service* layer
 (:mod:`repro.serve`) contains operational failures.  Each
-:class:`ServiceFault` patches one seam — the worker job entry, the cache
-read path — then the harness runs a real server with two concurrent
-client requests:
+:class:`ServiceFault` patches one seam — the job body
+(:func:`repro.serve.scheduler.execute_job`, with module-level wrappers
+the process pool can pickle), the cache read path — then the harness
+runs a real server with two concurrent client requests:
 
 * the **victim** request exercises the fault and must fail *cleanly*
   with the expected typed protocol error code;
-* the **healthy** request shares the server (and possibly the shard) and
+* the **healthy** request shares the server and its worker queue and
   must still complete — failure scoping is the property under test.
 
 Faults with a ``followup_code`` get a third request after the failure to
@@ -29,9 +30,14 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis import runner as _runner
 from repro.core.configs import SimConfig
+from repro.serve import scheduler as _scheduler
+
+# The unpatched job body, bound at import: the injected bodies wrap it.
+from repro.serve.scheduler import execute_job
 
 __all__ = [
     "SERVICE_FAULTS",
@@ -74,7 +80,7 @@ class ServiceFault:
     expected_code: str
     #: Returns the context manager installing the failure.
     inject: Callable[[], object]
-    #: Scheduler shard mode the fault needs (process isolation for
+    #: Scheduler slot mode the fault needs (process isolation for
     #: worker-death faults; thread mode is faster where containment is
     #: not what the fault exercises).
     mode: str = "thread"
@@ -99,16 +105,27 @@ def _register(fault: ServiceFault) -> ServiceFault:
 # ----------------------------------------------------------------------
 
 
+def _killing_job(
+    workload: str, config: SimConfig, n_instructions: int, **kwargs: Any
+) -> Any:
+    """Job body that dies (as if OOM-killed) on the victim workload."""
+    if workload == VICTIM_WORKLOAD:
+        os._exit(17)  # hard death: no exception, no cleanup
+    return execute_job(workload, config, n_instructions, **kwargs)
+
+
+def _wedged_job(
+    workload: str, config: SimConfig, n_instructions: int, **kwargs: Any
+) -> Any:
+    """Job body that wedges (infinite loop semantics) on the victim."""
+    if workload == VICTIM_WORKLOAD:
+        time.sleep(60.0)  # far past the request timeout; killed early
+    return execute_job(workload, config, n_instructions, **kwargs)
+
+
 def _inject_worker_killed():
     """The worker process dies (as if OOM-killed) mid-victim-job."""
-    from repro.serve import scheduler as _scheduler
-
-    def entry(workload: str, config: SimConfig, n_instructions: int):
-        if workload == VICTIM_WORKLOAD:
-            os._exit(17)  # hard death: no exception, no cleanup
-        return _scheduler._default_job_entry(workload, config, n_instructions)
-
-    return _patched_attr(_scheduler, "_JOB_ENTRY", entry)
+    return _patched_attr(_scheduler, "execute_job", _killing_job)
 
 
 _register(
@@ -153,16 +170,9 @@ _register(
 
 
 def _inject_slow_worker():
-    """The victim's worker wedges (infinite loop semantics): the job must
-    time out, the worker be killed, and the shard keep scheduling."""
-    from repro.serve import scheduler as _scheduler
-
-    def entry(workload: str, config: SimConfig, n_instructions: int):
-        if workload == VICTIM_WORKLOAD:
-            time.sleep(60.0)  # far past the request timeout; killed early
-        return _scheduler._default_job_entry(workload, config, n_instructions)
-
-    return _patched_attr(_scheduler, "_JOB_ENTRY", entry)
+    """The victim's worker wedges: the job must time out, the worker be
+    killed, and its slot keep scheduling."""
+    return _patched_attr(_scheduler, "execute_job", _wedged_job)
 
 
 _register(
@@ -170,7 +180,7 @@ _register(
         name="slow-worker",
         description="worker wedges on the victim job: the per-job timeout "
         "fires, the worker is killed, the request fails with timeout and "
-        "the shard stays schedulable",
+        "its slot stays schedulable",
         expected_code="timeout",
         inject=_inject_slow_worker,
         mode="process",

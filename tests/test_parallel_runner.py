@@ -16,6 +16,7 @@ import time
 import pytest
 
 import repro.analysis.runner as runner
+import repro.serve.scheduler as scheduler_mod
 from repro.analysis.parallel import (
     JobTimeoutError,
     ParallelExecutionError,
@@ -26,6 +27,7 @@ from repro.analysis.parallel import (
     run_jobs,
 )
 from repro.core import SimConfig
+from repro.serve.scheduler import execute_job as _real_execute_job
 
 #: A QUICK-flavoured but test-sized suite: one workload per category.
 SUITE = ("srv_02", "int_02", "crypto_02", "fp_01")
@@ -181,6 +183,26 @@ class TestFailurePaths:
             engine.run([SimJob("no_such_workload", SimConfig(), 1_000)])
         assert runner.verify_disk_cache() == {"ok": 0, "corrupt": []}
 
+    def test_worker_crash_fails_only_its_job(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "execute_job", _crashing_execute)
+        engine = ParallelRunner(jobs=2)
+        jobs = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in SUITE]
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            engine.run(jobs)
+        failures = excinfo.value.failures
+        assert [job.workload for job, _error in failures] == ["int_02"]
+        assert "worker died" in str(failures[0][1])
+        for name in SUITE:
+            if name != "int_02":
+                assert name not in str(excinfo.value)
+        assert engine.stats.counters["jobs_failed"] == 1
+        # The healthy jobs finished on the other slot (and the restarted
+        # one) and are on disk, every entry valid.
+        assert engine.stats.counters["jobs_simulated"] == len(SUITE) - 1
+        report = runner.verify_disk_cache()
+        assert report["corrupt"] == []
+        assert report["ok"] == len(SUITE) - 1
+
     def test_results_usable_after_partial_failure(self, fresh_cache):
         engine = ParallelRunner(jobs=2)
         good = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
@@ -227,14 +249,20 @@ class TestRunJobsHelper:
         assert results[job.key].name == "fp_01"
 
 
-def _wedged_execute(workload, config, n_instructions):
-    """Module-level (picklable) stand-in for ``_execute_job`` that wedges
+def _wedged_execute(workload, config, n_instructions, **kwargs):
+    """Module-level (picklable) stand-in for ``execute_job`` that wedges
     on one workload — pool workers resolve it by qualified name."""
-    import repro.analysis.parallel as parallel
-
     if workload == "int_02":
-        time.sleep(60.0)  # far past the test timeout; the pool is killed
-    return parallel._original_execute_job(workload, config, n_instructions)
+        time.sleep(60.0)  # far past the test timeout; the worker is killed
+    return _real_execute_job(workload, config, n_instructions, **kwargs)
+
+
+def _crashing_execute(workload, config, n_instructions, **kwargs):
+    """Module-level stand-in for ``execute_job`` whose worker process dies
+    (as if OOM-killed) on one workload."""
+    if workload == "int_02":
+        os._exit(17)  # hard death: no exception, no cleanup
+    return _real_execute_job(workload, config, n_instructions, **kwargs)
 
 
 class TestJobTimeout:
@@ -255,13 +283,7 @@ class TestJobTimeout:
         assert ParallelRunner(jobs=2, job_timeout=1.0).job_timeout == 1.0
 
     def test_wedged_job_fails_cleanly(self, fresh_cache, monkeypatch):
-        import repro.analysis.parallel as parallel
-
-        monkeypatch.setattr(
-            parallel, "_original_execute_job", parallel._execute_job,
-            raising=False,
-        )
-        monkeypatch.setattr(parallel, "_execute_job", _wedged_execute)
+        monkeypatch.setattr(scheduler_mod, "execute_job", _wedged_execute)
         engine = ParallelRunner(jobs=2, job_timeout=1.5)
         good = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         wedged = SimJob("int_02", SimConfig(), N_INSTRUCTIONS)

@@ -22,6 +22,7 @@ import pytest
 
 import repro.analysis.runner as runner
 import repro.serve.scheduler as scheduler_mod
+from repro.analysis.parallel import SimJob
 from repro.core import SimConfig
 from repro.serve.client import RunReply, ServeClient, ServeRequestError
 from repro.serve.protocol import (
@@ -57,14 +58,14 @@ def run_counter(monkeypatch):
     """Count every actual job execution, keyed by cache key."""
     calls: Counter[str] = Counter()
     lock = threading.Lock()
-    real = scheduler_mod._default_job_entry
+    real = scheduler_mod.execute_job
 
-    def counting(workload, config, n_instructions):
+    def counting(workload, config, n_instructions, **kwargs):
         with lock:
             calls[runner.cache_key(workload, n_instructions, config)] += 1
-        return real(workload, config, n_instructions)
+        return real(workload, config, n_instructions, **kwargs)
 
-    monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", counting)
+    monkeypatch.setattr(scheduler_mod, "execute_job", counting)
     return calls
 
 
@@ -221,14 +222,14 @@ class TestExactlyOnce:
 class TestCancellation:
     def test_cancel_mid_run_leaves_pool_schedulable(self, fresh_cache, monkeypatch):
         release = threading.Event()
-        real = scheduler_mod._default_job_entry
+        real = scheduler_mod.execute_job
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, **kwargs):
             if workload == "srv_02":
                 release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return real(workload, config, n_instructions, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(scheduler_mod, "execute_job", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -266,14 +267,14 @@ class TestCancellation:
         self, fresh_cache, run_counter, monkeypatch
     ):
         release = threading.Event()
-        counted = scheduler_mod._JOB_ENTRY  # the run_counter wrapper
+        counted = scheduler_mod.execute_job  # the run_counter wrapper
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, **kwargs):
             if workload == "srv_02":
                 release.wait(30.0)
-            return counted(workload, config, n_instructions)
+            return counted(workload, config, n_instructions, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(scheduler_mod, "execute_job", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -310,16 +311,16 @@ class TestPriority:
         release = threading.Event()
         order: list[str] = []
         lock = threading.Lock()
-        real = scheduler_mod._default_job_entry
+        real = scheduler_mod.execute_job
 
-        def recording(workload, config, n_instructions):
+        def recording(workload, config, n_instructions, **kwargs):
             with lock:
                 order.append(workload)
             if workload == "srv_02":
                 release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return real(workload, config, n_instructions, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", recording)
+        monkeypatch.setattr(scheduler_mod, "execute_job", recording)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -431,13 +432,13 @@ class TestTypedErrors:
 
     def test_overloaded_when_queue_bound_hit(self, fresh_cache, monkeypatch):
         release = threading.Event()
-        real = scheduler_mod._default_job_entry
+        real = scheduler_mod.execute_job
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, **kwargs):
             release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return real(workload, config, n_instructions, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(scheduler_mod, "execute_job", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -460,6 +461,106 @@ class TestTypedErrors:
         code = run_async(_with_server(body, shards=1, max_pending=2))
         release.set()
         assert code == "overloaded"
+
+    def test_cancelled_flights_leave_the_queue_bound(
+        self, fresh_cache, monkeypatch
+    ):
+        release = threading.Event()
+        real = scheduler_mod.execute_job
+
+        def blocking(workload, config, n_instructions, **kwargs):
+            if workload == "srv_02":
+                release.wait(30.0)
+            return real(workload, config, n_instructions, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "execute_job", blocking)
+
+        async def wait_for_status(client, predicate):
+            for _ in range(200):
+                status = await client.status()
+                if predicate(status["scheduler"]):
+                    return status["scheduler"]
+                await asyncio.sleep(0.02)
+            pytest.fail(f"scheduler never reached the state: {status}")
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                blocker = asyncio.create_task(
+                    client.run(["srv_02"], n_instructions=N_INSTRUCTIONS)
+                )
+                await wait_for_status(client, lambda s: s["in_flight"] == 1)
+                queued = asyncio.create_task(
+                    client.run(
+                        ["fp_01", "int_01"],
+                        n_instructions=N_INSTRUCTIONS,
+                        request_id="queued",
+                    )
+                )
+                await wait_for_status(client, lambda s: s["queued"] == 2)
+                await client.cancel("queued")
+                with pytest.raises(ServeRequestError):
+                    await queued
+                # Both cancelled flights left the queue: admission, the
+                # status verb and the gauge see an empty queue again.
+                after_cancel = await client.status()
+                late = asyncio.create_task(
+                    client.run(["crypto_02"], n_instructions=N_INSTRUCTIONS)
+                )
+                await wait_for_status(client, lambda s: s["queued"] == 1)
+                release.set()
+                results = await asyncio.gather(blocker, late)
+            return after_cancel["scheduler"]["queued"], results
+
+        try:
+            queued_after_cancel, (blocker, late) = run_async(
+                _with_server(body, shards=1, max_pending=2)
+            )
+        finally:
+            release.set()
+        assert queued_after_cancel == 0
+        assert blocker.ok and late.ok
+        assert late.results[0]["workload"] == "crypto_02"
+
+
+class TestSharedQueue:
+    def test_two_slots_run_two_jobs_at_once(self, fresh_cache, monkeypatch):
+        # Two keys that a key-hashed shard map would put on one shard.
+        jobs = {}
+        for name in ("fp_01", "int_01", "srv_02", "crypto_02", "int_02"):
+            job = SimJob(name, SimConfig(), N_INSTRUCTIONS)
+            jobs.setdefault(int(job.key, 16) % 2, []).append(job)
+        pair = next(group[:2] for group in jobs.values() if len(group) >= 2)
+        release = threading.Event()
+        started: list[str] = []
+        real = scheduler_mod.execute_job
+
+        def blocking(workload, config, n_instructions, **kwargs):
+            started.append(workload)
+            release.wait(30.0)
+            return real(workload, config, n_instructions, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "execute_job", blocking)
+
+        async def body():
+            scheduler = scheduler_mod.Scheduler(2, mode="thread")
+            await scheduler.start()
+            try:
+                flights = [scheduler.submit(job) for job in pair]
+                for _ in range(500):
+                    if len(started) == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                both_running = sorted(started)
+                release.set()
+                outcomes = [await flight.wait() for flight in flights]
+            finally:
+                release.set()
+                await scheduler.close()
+            return both_running, outcomes
+
+        both_running, outcomes = run_async(body())
+        assert both_running == sorted(job.workload for job in pair)
+        assert [o.source for o in outcomes] == ["simulated", "simulated"]
 
 
 class TestControlPlane:

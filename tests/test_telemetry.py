@@ -508,14 +508,14 @@ class TestCrashDump:
         out = tmp_path / "artifacts"
         out.mkdir()
         monkeypatch.setenv("REPRO_BENCH_OUT", str(out))
-        real = scheduler_mod._default_job_entry
+        real = scheduler_mod.execute_job
 
-        def crashing(workload, config, n_instructions):
+        def crashing(workload, config, n_instructions, **kwargs):
             if workload == "int_01":
                 raise BrokenExecutor("worker killed")
-            return real(workload, config, n_instructions)
+            return real(workload, config, n_instructions, **kwargs)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", crashing)
+        monkeypatch.setattr(scheduler_mod, "execute_job", crashing)
 
         async def scenario(server):
             async with ServeClient(port=server.port) as client:
